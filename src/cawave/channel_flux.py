@@ -85,20 +85,60 @@ class BufferParams:
             raise ValueError("buffer parameters must be nonnegative")
 
 
-def pmca(u: float, params: PlasmaParams = PlasmaParams()) -> float:
-    """PMCA pump rate scale*u^2/(k^2 + u^2); outward, saturating."""
+def _pmca_law(u, params: PlasmaParams):
+    """PMCA rate scale*u^2/(k^2 + u^2) and its slope d/du."""
+    k2 = params.pmca_k * params.pmca_k
+    return (
+        params.pmca_scale * u * u / (k2 + u * u),
+        2.0 * params.pmca_scale * k2 * u / (k2 + u * u) ** 2,
+    )
+
+
+def _ncx_law(u, params: PlasmaParams):
+    """NCX rate scale*u/(k + u) and its slope d/du."""
+    return (
+        params.ncx_scale * u / (params.ncx_k + u),
+        params.ncx_scale * params.ncx_k / (params.ncx_k + u) ** 2,
+    )
+
+
+def outer_pumps(u, params: PlasmaParams = PlasmaParams()):
+    """Outward PMCA + NCX rate and its slope d/du, without input checks.
+
+    The solver's boundary iterates may sit a hair below zero (it clamps only
+    below -1e-8), so this path, unlike pmca/ncx, accepts any finite u.
+    """
+    pmca_rate, pmca_slope = _pmca_law(u, params)
+    ncx_rate, ncx_slope = _ncx_law(u, params)
+    return pmca_rate + ncx_rate, pmca_slope + ncx_slope
+
+
+def serca_pump(u, u_e, params: ErParams = ErParams()):
+    """SERCA rate scale*u/((k + u) u_e) with its slopes d/du and d/du_e.
+
+    No input checks, for the same reason as outer_pumps.
+    """
+    rate = params.serca_scale * u / ((params.serca_k + u) * u_e)
+    slope_u = params.serca_scale * params.serca_k / ((params.serca_k + u) ** 2 * u_e)
+    return rate, slope_u, -rate / u_e
+
+
+def _require_cytosolic(u):
     _require_finite("u", u)
     if u < 0:
         raise ValueError(f"negative cytosolic concentration: {u}")
-    return params.pmca_scale * u * u / (params.pmca_k**2 + u * u)
+
+
+def pmca(u: float, params: PlasmaParams = PlasmaParams()) -> float:
+    """PMCA pump rate scale*u^2/(k^2 + u^2); outward, saturating."""
+    _require_cytosolic(u)
+    return _pmca_law(u, params)[0]
 
 
 def ncx(u: float, params: PlasmaParams = PlasmaParams()) -> float:
     """Na/Ca exchanger rate scale*u/(k + u); outward, saturating."""
-    _require_finite("u", u)
-    if u < 0:
-        raise ValueError(f"negative cytosolic concentration: {u}")
-    return params.ncx_scale * u / (params.ncx_k + u)
+    _require_cytosolic(u)
+    return _ncx_law(u, params)[0]
 
 
 def plasma_flux(u: float, params: PlasmaParams = PlasmaParams()) -> float:
@@ -117,26 +157,22 @@ def er_flux(
     RyR release (open fraction times the concentration gap) and the ER leak
     both drain the store when u_e > u; SERCA pumps against them.
     """
-    _require_finite("u", u)
+    _require_cytosolic(u)
     _require_finite("u_e", u_e)
-    if u < 0:
-        raise ValueError(f"negative cytosolic concentration: {u}")
     if u_e <= ER_CONCENTRATION_FLOOR:
         raise ValueError(f"ER concentration out of range: {u_e}")
     if not 0.0 <= open_probability <= 1.0:
         raise ValueError(f"open probability outside [0, 1]: {open_probability}")
     release = params.ryr_scale * open_probability * (u - u_e)
-    serca = params.serca_scale * u / ((params.serca_k + u) * u_e)
+    serca = serca_pump(u, u_e, params)[0]
     leak = params.leak * (u_e - u)
     return release + serca - leak
 
 
 def buffer_reaction(u: float, b: float, params: BufferParams = BufferParams()) -> float:
     """Reaction rate shared by calcium and free buffer: unbinding minus binding."""
-    _require_finite("u", u)
+    _require_cytosolic(u)
     _require_finite("b", b)
-    if u < 0:
-        raise ValueError(f"negative cytosolic concentration: {u}")
     if b < -1e-9 or b > params.total + 1e-9:
         raise ValueError(f"free buffer outside [0, {params.total}]: {b}")
     return params.unbind_rate * (params.total - b) - params.bind_rate * b * u

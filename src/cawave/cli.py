@@ -155,7 +155,7 @@ def cmd_simulate(args) -> int:
     cfg = _prepare(args)
     overrides = {"channel": args.channel}
     if args.preset is not None:
-        amplitude = {"example1": 1200.0, "example1-reduced": 600.0}[args.preset]
+        amplitude = hybrid_solver.PRESET_AMPLITUDES[args.preset]
         overrides["stimulus"] = hybrid_solver.StimulusSpec(amplitude=amplitude)
     if args.dt is not None:
         overrides["dt"] = args.dt
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", parents=[common], help="run a coupled-cell scenario")
-    p.add_argument("--preset", choices=["example1", "example1-reduced"])
+    p.add_argument("--preset", choices=list(hybrid_solver.PRESET_AMPLITUDES))
     p.add_argument("--channel", default="markov", choices=["markov", "surrogate", "zero"])
     p.add_argument("--weights", metavar="PATH", help="CWNN file for the surrogate channel")
     p.add_argument("--dt", type=float)

@@ -19,13 +19,13 @@ a binary container (magic "CWDS", little-endian, CRC32 trailer) or CSV.
 from __future__ import annotations
 
 import struct
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFileError, FormatVersionError
+from . import container
+from .errors import CorruptFileError
 from .ryr_markov import FULLY_CLOSED_STATE, MarkovRates, MarkovState
 
 BASELINE = 0.05  # uM, resting calcium of every generated pulse
@@ -295,33 +295,16 @@ def save_samples(path, samples: np.ndarray) -> None:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
         raise ValueError(f"samples must be (N, 4), got {samples.shape}")
-    blob = bytearray()
-    blob += SAMPLES_MAGIC
-    blob += struct.pack("<IQ", SAMPLES_VERSION, samples.shape[0])
-    blob += np.ascontiguousarray(samples, dtype="<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    body = struct.pack("<Q", samples.shape[0]) + np.ascontiguousarray(samples, dtype="<f8").tobytes()
+    container.write(path, SAMPLES_MAGIC, SAMPLES_VERSION, body)
 
 
 def load_samples(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20:
-        raise CorruptFileError(f"{path}: truncated sample file")
-    if blob[:4] != SAMPLES_MAGIC:
-        raise CorruptFileError(f"{path}: bad magic {blob[:4]!r}")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CorruptFileError(f"{path}: checksum mismatch")
-    version, count = struct.unpack("<IQ", blob[4:16])
-    if version != SAMPLES_VERSION:
-        raise FormatVersionError(f"{path}: unsupported format version {version}")
-    expected = 16 + 32 * count + 4
-    if len(blob) != expected:
-        raise CorruptFileError(f"{path}: {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f8", count=4 * count, offset=16)
-    return data.reshape(count, 4).astype(float)
+    body = container.read(path, SAMPLES_MAGIC, SAMPLES_VERSION, 8, "sample")
+    count = struct.unpack("<Q", body[:8])[0]
+    if len(body) != 8 + 32 * count:
+        raise CorruptFileError(f"{path}: {len(body) + 12} bytes, expected {20 + 32 * count}")
+    return np.frombuffer(body, dtype="<f8", offset=8).reshape(count, 4).astype(float)
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:

@@ -22,9 +22,9 @@ vanishes at the origin.
 
 Mass and stiffness matrices are the familiar unweighted P1 element matrices;
 no r-weight appears in any inner product.  All matrices are tridiagonal and
-are solved with the Thomas algorithm, falling back to banded LU with partial
-pivoting when a pivot degenerates.  Everything in this module is pure:
-functions return fresh arrays and never mutate their inputs.
+are solved by LAPACK's gtsv, Gaussian elimination with partial pivoting.
+Everything in this module is pure: functions return fresh arrays and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -33,13 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SingularMatrixError
-
-# Relative pivot floor for the Thomas sweep; below this we refactor with
-# partial pivoting instead of dividing by a nearly-zero pivot.
-PIVOT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -205,62 +201,22 @@ def singular_entry_values(h: float):
     return (1.0 - math.log(h)) / h, (math.log(h) - 1.0) / h
 
 
-def _thomas(lower, diag, upper, rhs, pivot_floor: float):
-    """Thomas elimination on plain Python lists; None signals a tiny pivot."""
-    n = len(diag)
-    piv = diag[0]
-    if abs(piv) <= pivot_floor:
-        return None
-    cp = [0.0] * (n - 1)
-    xp = [0.0] * n
-    xp[0] = rhs[0] / piv
-    for i in range(1, n):
-        cp[i - 1] = upper[i - 1] / piv
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if abs(piv) <= pivot_floor:
-            return None
-        xp[i] = (rhs[i] - lower[i - 1] * xp[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        xp[i] -= cp[i] * xp[i + 1]
-    return xp
-
-
-def _band_magnitude(lower, diag, upper) -> float:
-    mags = [abs(float(np.max(np.abs(diag))))]
-    if len(lower):
-        mags.append(float(np.max(np.abs(lower))))
-        mags.append(float(np.max(np.abs(upper))))
-    return max(mags)
-
-
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a tridiagonal system given raw bands (fast path for steppers)."""
-    scale = _band_magnitude(lower, diag, upper)
-    if scale == 0.0:
-        raise SingularMatrixError("all matrix bands are zero")
-    x = _thomas(list(lower), list(diag), list(upper), list(rhs), PIVOT_RTOL * scale)
-    if x is not None:
-        return np.asarray(x)
-    # Pivot degenerated: refactor with partial pivoting via LAPACK.
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, np.asarray(rhs))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"tridiagonal solve failed: {exc}") from exc
+    """Solve a tridiagonal system given raw bands (fast path for steppers).
+
+    One LAPACK gtsv call; its partial pivoting copes with zero or tiny
+    leading pivots, and an exactly zero pivot means the matrix is singular.
+    """
+    if len(diag) == 1:  # the gtsv wrapper wants off-diagonal bands of length >= 1
+        lower = upper = np.zeros(1)
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info != 0:
+        raise SingularMatrixError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
+    return x
 
 
 def solve_banded(matrix: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ x = rhs.
-
-    Thomas elimination first; if a pivot falls below 1e-14 relative to the
-    largest band magnitude the system is refactored with banded LU and
-    partial pivoting, and only if that also fails is the matrix declared
-    singular.
-    """
+    """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (matrix.dim,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({matrix.dim},)")

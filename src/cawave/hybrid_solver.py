@@ -26,8 +26,11 @@ Time stepping is a first-order IMEX splitting.  Per step:
         treatment of the SERCA term.
 
 Each pass assembles (M/dt + D K - D A) plus boundary contributions and does
-one tridiagonal solve.  Nodal values in [-1e-8, 0) are clamped to zero before
-flux evaluation; anything below -1e-8 aborts the run.
+one tridiagonal solve.  The PMCA, NCX and SERCA laws and their slopes come
+from channel_flux (outer_pumps, serca_pump), the same formulas that the flux
+functions there evaluate; this module only places them in the matrices.
+Nodal values in [-1e-8, 0) are clamped to zero before flux evaluation;
+anything below -1e-8 aborts the run.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem_core, ryr_markov, surrogate_net
-from .channel_flux import BufferParams, ErParams, PlasmaParams
+from .channel_flux import BufferParams, ErParams, PlasmaParams, outer_pumps, serca_pump
 from .errors import ConfigError, SolverDivergenceError, StateInvariantError
 from .fem_core import BandedMatrix, Mesh1D, build_mesh, solve_tridiagonal
 from .ryr_markov import MarkovRates, MarkovState
@@ -46,6 +49,7 @@ from .ryr_markov import MarkovRates, MarkovState
 UNDERSHOOT_TOL = 1e-8
 BOUNDARY_ITER_TOL = 1e-10
 BOUNDARY_ITER_MAX = 50
+PRESET_AMPLITUDES = {"example1": 1200.0, "example1-reduced": 600.0}  # stimulus per preset
 
 
 @dataclass
@@ -324,27 +328,18 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
     if cfg.plasma_enabled:
         rhs[-1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
 
-    kp2 = pl.pmca_k * pl.pmca_k
     u_new = state.u
     u_iter = state.u
     for it in range(BOUNDARY_ITER_MAX + 1):
         ur = float(u_iter[-1])
         ul = float(u_iter[0])
-        if cfg.plasma_enabled:
-            hill = pl.pmca_scale * ur * ur / (kp2 + ur * ur) + pl.ncx_scale * ur / (pl.ncx_k + ur)
-            hill_d = (
-                2.0 * pl.pmca_scale * kp2 * ur / (kp2 + ur * ur) ** 2
-                + pl.ncx_scale * pl.ncx_k / (pl.ncx_k + ur) ** 2
-            )
-        else:
-            hill = hill_d = 0.0
-        serca = er_p.serca_scale * ul / ((er_p.serca_k + ul) * ue_l)
-        serca_d = er_p.serca_scale * er_p.serca_k / ((er_p.serca_k + ul) ** 2 * ue_l)
+        pumps, pumps_d = outer_pumps(ur, pl) if cfg.plasma_enabled else (0.0, 0.0)
+        serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
         d_it = diag.copy()
-        d_it[-1] += hill_d
+        d_it[-1] += pumps_d
         d_it[0] += serca_d
         r_it = rhs.copy()
-        r_it[-1] += -hill + hill_d * ur
+        r_it[-1] += -pumps + pumps_d * ur
         r_it[0] += -serca + serca_d * ul
         u_new = solve_tridiagonal(low, d_it, up, r_it)
         delta = float(np.max(np.abs(u_new - u_iter)))
@@ -369,17 +364,17 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
     diag_e[-1] += gate
     rhs_e = sys_.mass_e.matvec(state.ue / dt)
     rhs_e[-1] += gate * u_l
-    serca_num = er_p.serca_scale * u_l / (er_p.serca_k + u_l)
     ue_new = state.ue
     ue_iter = state.ue
     for it in range(BOUNDARY_ITER_MAX + 1):
         uel = float(ue_iter[-1])
         if uel <= 1e-12:
             raise StateInvariantError(f"ER interface concentration collapsed: {uel}")
+        serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
         d_it = diag_e.copy()
-        d_it[-1] += serca_num / (uel * uel)
+        d_it[-1] -= serca_d
         r_it = rhs_e.copy()
-        r_it[-1] += 2.0 * serca_num / uel
+        r_it[-1] += serca - serca_d * uel
         ue_new = solve_tridiagonal(sys_.e_bands[0], d_it, sys_.e_bands[2], r_it)
         delta = float(np.max(np.abs(ue_new - ue_iter)))
         ue_iter = ue_new
@@ -500,13 +495,9 @@ def write_simulation_csv(path, output: SimOutput) -> None:
 
 def preset_config(name: str, **overrides) -> SimConfig:
     """Named scenarios: 'example1' (full stimulus) and 'example1-reduced'."""
-    presets = {
-        "example1": 1200.0,
-        "example1-reduced": 600.0,
-    }
-    if name not in presets:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    cfg = SimConfig(stimulus=StimulusSpec(presets[name]))
+    if name not in PRESET_AMPLITUDES:
+        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESET_AMPLITUDES)}")
+    cfg = SimConfig(stimulus=StimulusSpec(PRESET_AMPLITUDES[name]))
     for key, value in overrides.items():
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown config field {key!r}")

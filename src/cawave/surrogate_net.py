@@ -22,32 +22,17 @@ CRC32 trailer); see save_weights / load_weights.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFileError, FormatVersionError, ShapeMismatchError
+from . import container
+from .errors import CorruptFileError, ShapeMismatchError
 
 LAYER_SIZES = (3, 200, 64, 16, 1)
 PARAMETER_COUNT = 14721  # sum over layers of (fan_in + 1) * fan_out
 WEIGHTS_MAGIC = b"CWNN"
 WEIGHTS_VERSION = 1
-
-SAMPLE_COLUMNS = ("p_prev", "u_prev", "dudt", "dpdt")
-
-
-@dataclass(frozen=True)
-class TrainingSample:
-    """One supervised pair: inputs (P, u, du/dt), target dP/dt."""
-
-    p_prev: float
-    u_prev: float
-    dudt: float
-    dpdt: float
-
-    def as_row(self) -> np.ndarray:
-        return np.array([self.p_prev, self.u_prev, self.dudt, self.dpdt])
 
 
 @dataclass
@@ -112,10 +97,11 @@ def loss(params: NetworkParams, batch: np.ndarray) -> float:
 
 
 def backward(params: NetworkParams, batch: np.ndarray):
-    """Exact MSE gradient via backpropagation.
+    """Batch loss and its exact MSE gradient via backpropagation.
 
-    Returns (weight_grads, bias_grads) shaped like the parameters.  The ReLU
-    subgradient at exactly 0 is taken as 0 (the unit stays off).
+    Returns (loss, (weight_grads, bias_grads)) with the gradients shaped like
+    the parameters; the loss is the value loss() gives, from the same forward
+    pass.  The ReLU subgradient at exactly 0 is taken as 0 (the unit stays off).
     """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != 4 or batch.shape[0] == 0:
@@ -133,17 +119,18 @@ def backward(params: NetworkParams, batch: np.ndarray):
         a = np.maximum(z, 0.0)
         acts.append(a)
     out = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
+    err = out - y
 
     w_grads = [None] * len(params.weights)
     b_grads = [None] * len(params.biases)
-    delta = (2.0 / n) * (out - y)[:, None]  # d loss / d output, (N, 1)
+    delta = (2.0 / n) * err[:, None]  # d loss / d output, (N, 1)
     w_grads[-1] = delta.T @ acts[-1]
     b_grads[-1] = delta.sum(axis=0)
     for layer in range(len(params.weights) - 2, -1, -1):
         delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
         w_grads[layer] = delta.T @ acts[layer]
         b_grads[layer] = delta.sum(axis=0)
-    return w_grads, b_grads
+    return float(np.mean(err * err)), (w_grads, b_grads)
 
 
 @dataclass
@@ -275,10 +262,9 @@ def train(
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
             batch = train_set[order[start : start + batch_size]]
-            batch_loss = loss(params, batch)
+            batch_loss, grads = backward(params, batch)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
-            grads = backward(params, batch)
             params, state = adam_step(params, grads, state)
             loss_sum += batch_loss * batch.shape[0]
         train_hist[epoch] = loss_sum / n_train
@@ -317,56 +303,41 @@ def rollout_probability(
 
 
 def save_weights(path, params: NetworkParams) -> None:
-    """Write the CWNN container: header, per-layer blocks, CRC32 trailer."""
-    blob = bytearray()
-    blob += WEIGHTS_MAGIC
-    blob += struct.pack("<II", WEIGHTS_VERSION, len(params.weights))
+    """Write the CWNN container: layer count, per-layer blocks, CRC32 trailer."""
+    body = bytearray(struct.pack("<I", len(params.weights)))
     for w, b in zip(params.weights, params.biases):
-        rows, cols = w.shape
-        blob += struct.pack("<II", rows, cols)
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        body += struct.pack("<II", *w.shape)
+        body += np.ascontiguousarray(w, dtype="<f8").tobytes()
+        body += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    container.write(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, bytes(body))
 
 
 def load_weights(path) -> NetworkParams:
     """Read and validate a CWNN container written by save_weights."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise CorruptFileError(f"{path}: truncated weight file")
-    if blob[:4] != WEIGHTS_MAGIC:
-        raise CorruptFileError(f"{path}: bad magic {blob[:4]!r}")
-    stored_crc = struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise CorruptFileError(f"{path}: checksum mismatch")
-    version, n_layers = struct.unpack("<II", blob[4:12])
-    if version != WEIGHTS_VERSION:
-        raise FormatVersionError(f"{path}: unsupported format version {version}")
+    body = container.read(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, 4, "weight")
+    n_layers = struct.unpack_from("<I", body)[0]
     if n_layers != len(LAYER_SIZES) - 1:
         raise ShapeMismatchError(f"{path}: {n_layers} layers, expected {len(LAYER_SIZES) - 1}")
-    offset = 12
+    offset = 4
     weights, biases = [], []
     for fan_out, fan_in in zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]):
-        if offset + 8 > len(blob) - 4:
+        if offset + 8 > len(body):
             raise CorruptFileError(f"{path}: truncated layer header")
-        rows, cols = struct.unpack_from("<II", blob, offset)
+        rows, cols = struct.unpack_from("<II", body, offset)
         offset += 8
         if (rows, cols) != (fan_out, fan_in):
             raise ShapeMismatchError(
                 f"{path}: layer shape ({rows}, {cols}) != ({fan_out}, {fan_in})"
             )
         nbytes = 8 * rows * (cols + 1)
-        if offset + nbytes > len(blob) - 4:
+        if offset + nbytes > len(body):
             raise CorruptFileError(f"{path}: truncated layer data")
-        w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
+        w = np.frombuffer(body, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
         offset += 8 * rows * cols
-        b = np.frombuffer(blob, dtype="<f8", count=rows, offset=offset)
+        b = np.frombuffer(body, dtype="<f8", count=rows, offset=offset)
         offset += 8 * rows
         weights.append(w.astype(float))
         biases.append(b.astype(float))
-    if offset != len(blob) - 4:
+    if offset != len(body):
         raise CorruptFileError(f"{path}: trailing bytes after last layer")
     return NetworkParams(weights, biases)

@@ -160,7 +160,7 @@ def test_c05_gradient_check():
             if min(margins) > 1e-4:
                 break
         batch = np.array([[x[0], x[1], x[2], rng.uniform(-1.0, 1.0)]])
-        grads = sn.backward(params, batch)
+        _, grads = sn.backward(params, batch)
         g_flat = flatten(sn.NetworkParams(list(grads[0]), list(grads[1])))
         for c in rng.choice(theta0.size, size=100, replace=False):
             tp, tm = theta0.copy(), theta0.copy()

@@ -3,12 +3,16 @@
 The default parameter set is tuned so that the resting state (u = 0.05,
 b = 37, u_e = 250) is a fixed point of every flux: the buffer reaction
 cancels exactly and the outer and store membranes carry negligible net flux
-once the gate sits at its resting open probability.
+once the gate sits at its resting open probability.  The value-and-slope
+laws that the solver linearizes must agree with the checked flux functions,
+and each slope with a central difference of its value.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cawave import channel_flux as cf
 from cawave.ryr_markov import open_probability, steady_state
@@ -109,3 +113,44 @@ def test_param_validation():
         cf.ErParams(ryr_scale=-0.5)
     with pytest.raises(ValueError):
         cf.BufferParams(total=-1.0)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+CYTOSOLIC = st.floats(0.0, 50.0)
+STORE = st.floats(1.0, 500.0)
+
+
+def central_difference(f, x):
+    h = 1e-6 * max(1.0, abs(x))
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def assert_slope(slope, f, x):
+    assert slope == pytest.approx(central_difference(f, x), rel=1e-6, abs=1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(u=CYTOSOLIC)
+def test_outer_pumps_value_and_slope(u):
+    rate, slope = cf.outer_pumps(u)
+    assert rate == cf.pmca(u) + cf.ncx(u)
+    assert_slope(slope, lambda v: cf.outer_pumps(v)[0], u)
+
+
+@PROPERTY_SETTINGS
+@given(u=CYTOSOLIC, u_e=STORE)
+def test_serca_pump_value_and_slopes(u, u_e):
+    rate, slope_u, slope_ue = cf.serca_pump(u, u_e)
+    # with the gate shut and no leak, er_flux is the SERCA term alone
+    assert rate == cf.er_flux(u, u_e, 0.0, cf.ErParams(leak=0.0))
+    assert_slope(slope_u, lambda v: cf.serca_pump(v, u_e)[0], u)
+    assert_slope(slope_ue, lambda v: cf.serca_pump(u, v)[0], u_e)
+
+
+def test_solver_laws_accept_tiny_negative_iterates():
+    # the solver clamps only below -1e-8; the checked functions reject these
+    for u in (-1e-8, -1e-12):
+        assert cf.outer_pumps(u)[0] < 0.0 < cf.outer_pumps(u)[1]
+        assert cf.serca_pump(u, 250.0)[0] < 0.0
+        with pytest.raises(ValueError):
+            cf.pmca(u)

@@ -3,11 +3,15 @@
 The batched gating integrator is cross-checked signal by signal against the
 scalar stepper; the hand-designed series families are checked against their
 stated qualitative contracts (lead/width structure, monotone decay windows,
-exact unit peaks on the sampling grid).
+exact unit peaks on the sampling grid).  The CWDS container must round-trip
+any sample block and reject every single-byte flip and every truncation.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cawave import datasets as ds
@@ -177,6 +181,32 @@ def test_samples_file_errors(tmp_path):
 
     with pytest.raises(ValueError):
         ds.save_samples(tmp_path / "bad.cwds", np.zeros((3, 3)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    samples=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.just(4)),
+        elements=st.floats(allow_nan=False),
+    ),
+    data=st.data(),
+)
+def test_samples_container_rejects_any_corruption(tmp_path_factory, samples, data):
+    path = tmp_path_factory.getbasetemp() / "property.cwds"
+    ds.save_samples(path, samples)
+    assert np.array_equal(ds.load_samples(path), samples)
+    blob = path.read_bytes()
+
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(blob[:offset] + bytes([blob[offset] ^ mask]) + blob[offset + 1 :])
+    with pytest.raises(CorruptFileError):
+        ds.load_samples(path)
+
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(CorruptFileError):
+        ds.load_samples(path)
 
 
 def test_samples_csv(tmp_path):

@@ -4,14 +4,18 @@ Mass and stiffness are checked against hand-computed element blocks, every
 regular entry of the radial convection matrix against adaptive quadrature,
 and the two finite-part entries of the origin row against both their closed
 forms and a numerical epsilon-limit of the regularized integral.  The
-tridiagonal solver is checked against dense LU on random systems, including
-a zero-pivot case that forces the partial-pivoting fallback.
+tridiagonal solver (LAPACK gtsv, partial pivoting) is checked against dense
+LU on random systems, including zero and tiny leading pivots, and must
+reject exactly singular systems.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -185,7 +189,8 @@ def test_solve_banded_against_dense():
 
 
 def test_solver_pivot_fallback():
-    # leading pivot is zero but the matrix is regular: Thomas must hand over
+    # leading pivot is zero but the matrix is regular: partial pivoting swaps
+    # the first two rows instead of dividing by zero
     mat = fem_core.BandedMatrix(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
     rhs = np.array([1.0, 2.0, 3.0])
     x = fem_core.solve_banded(mat, rhs)
@@ -213,3 +218,49 @@ def test_matvec_matches_dense():
     mat = fem_core.BandedMatrix(rng.normal(size=5), rng.normal(size=6), rng.normal(size=5))
     x = rng.normal(size=6)
     assert_allclose(mat.matvec(x), mat.to_dense() @ x, rtol=1e-14)
+
+
+# entries of either sign, bounded away from zero so that few draws are singular
+ENTRIES = st.floats(-10.0, -0.01) | st.floats(0.01, 10.0)
+
+
+def _bands(n):
+    off = arrays(np.float64, n - 1, elements=ENTRIES, fill=st.nothing())
+    full = arrays(np.float64, n, elements=ENTRIES, fill=st.nothing())
+    return st.tuples(off, full, off, full)
+
+
+TRIDIAGONAL_SYSTEMS = st.integers(1, 40).flatmap(_bands)
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+
+@PROPERTY_SETTINGS
+@given(system=TRIDIAGONAL_SYSTEMS, lead=st.sampled_from([None, 0.0, 1e-300, -1e-17, 1e-12]))
+def test_solve_tridiagonal_matches_dense_solve(system, lead):
+    lower, diag, upper, rhs = system
+    if lead is not None:  # zero or tiny leading pivot
+        diag = diag.copy()
+        diag[0] = lead
+    dense = fem_core.BandedMatrix(lower, diag, upper).to_dense()
+    cond = np.linalg.cond(dense)
+    assume(cond < 1e8)
+    x = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
+    expected = np.linalg.solve(dense, rhs)
+    # both solves are backward stable: forward errors scale with cond * eps
+    assert np.max(np.abs(x - expected)) <= 1e-12 * cond * np.max(np.abs(expected))
+
+
+@PROPERTY_SETTINGS
+@given(system=TRIDIAGONAL_SYSTEMS, k=st.integers(0, 39), zero=st.sampled_from(["row", "column"]))
+def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
+    lower, diag, upper, rhs = (a.copy() for a in system)
+    n = diag.size
+    k %= n
+    diag[k] = 0.0
+    before, after = (lower, upper) if zero == "row" else (upper, lower)
+    if k > 0:
+        before[k - 1] = 0.0
+    if k < n - 1:
+        after[k] = 0.0
+    with pytest.raises(SingularMatrixError):
+        fem_core.solve_tridiagonal(lower, diag, upper, rhs)

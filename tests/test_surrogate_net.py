@@ -4,11 +4,14 @@ Backpropagation is validated against central finite differences away from
 ReLU kinks; the first Adam step against its closed form (a fresh optimizer
 moves every coordinate by learning_rate * sign(g) up to the epsilon floor);
 ReLU dead paths by exact loss invariance under perturbations of weights that
-feed inactive units.
+feed inactive units.  The CWNN container must reject every single-byte flip
+and every truncation.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cawave import surrogate_net as sn
@@ -78,7 +81,7 @@ def test_gradient_matches_finite_differences():
         ]
     )
     theta = flatten(params)
-    grads = sn.backward(params, batch)
+    _, grads = sn.backward(params, batch)
     g_flat = flatten(sn.NetworkParams(list(grads[0]), list(grads[1])))
     step = 1e-6
     for c in rng.choice(theta.size, size=160, replace=False):
@@ -92,6 +95,15 @@ def test_gradient_matches_finite_differences():
         assert abs(fd - g_flat[c]) / denom <= 1e-5
 
 
+def test_backward_loss_is_the_loss():
+    # train takes the batch loss from backward's forward pass, not from loss()
+    rng = np.random.default_rng(11)
+    params = sn.init_network(seed=11)
+    batch = np.column_stack([rng.uniform(0, 1, (640, 3)), rng.uniform(-1, 1, 640)])
+    batch_loss, _ = sn.backward(params, batch)
+    assert batch_loss == sn.loss(params, batch)
+
+
 def test_dead_relu_path_is_exactly_flat():
     # perturbing a weight into a unit that never fires cannot change the loss
     params = sn.init_network(seed=4)
@@ -103,7 +115,7 @@ def test_dead_relu_path_is_exactly_flat():
     bumped = params.copy()
     bumped.weights[0][dead_units[0], :] += 1e-9  # small enough to keep z < 0
     assert sn.loss(bumped, batch) == base
-    grads = sn.backward(params, batch)
+    _, grads = sn.backward(params, batch)
     assert np.all(grads[0][0][dead_units, :] == 0.0)
     assert np.all(grads[1][0][dead_units] == 0.0)
 
@@ -112,7 +124,7 @@ def test_first_adam_step_magnitude():
     # with zero moments, m_hat/sqrt(v_hat) = sign(g), so |step| ~ lr
     params = sn.init_network(seed=1)
     batch = np.array([[0.2, 3.0, 1.0, 0.4], [0.8, 0.5, -2.0, -0.3]])
-    grads = sn.backward(params, batch)
+    _, grads = sn.backward(params, batch)
     state = sn.init_adam(learning_rate=1e-3)
     new_params, new_state = sn.adam_step(params, grads, state)
     assert new_state.step == 1
@@ -247,3 +259,21 @@ def test_weights_file_errors(tmp_path):
     versioned.write_bytes(bytes(body))
     with pytest.raises(FormatVersionError):
         sn.load_weights(versioned)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_weights_container_rejects_any_corruption(tmp_path_factory, seed, data):
+    path = tmp_path_factory.getbasetemp() / "property.cwnn"
+    sn.save_weights(path, sn.init_network(seed=seed))
+    blob = path.read_bytes()
+
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(blob[:offset] + bytes([blob[offset] ^ mask]) + blob[offset + 1 :])
+    with pytest.raises(CorruptFileError):
+        sn.load_weights(path)
+
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    with pytest.raises(CorruptFileError):
+        sn.load_weights(path)
