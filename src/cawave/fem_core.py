@@ -204,8 +204,12 @@ def singular_entry_values(h: float):
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system given raw bands (fast path for steppers).
 
+    rhs may be (n,) or (n, k); k right-hand sides share one factorization.
     One LAPACK gtsv call; its partial pivoting copes with zero or tiny
     leading pivots, and an exactly zero pivot means the matrix is singular.
+    A block-diagonal system with zero entries at the block seams solves
+    bit for bit as the separate blocks would: a zero sub-diagonal entry
+    never triggers a row swap and leaves nothing to eliminate.
     """
     if len(diag) == 1:  # the gtsv wrapper wants off-diagonal bands of length >= 1
         lower = upper = np.zeros(1)

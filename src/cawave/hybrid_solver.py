@@ -19,30 +19,48 @@ Time stepping is a first-order IMEX splitting.  Per step:
   (ii)  solve for u implicitly, with b, u_e and P lagged: the reaction is
         linear in the new u and goes into the matrix, the Hill-type boundary
         terms (PMCA/NCX at R, SERCA at L) are resolved by a fixed-point
-        iteration whose passes linearize the boundary terms into the
-        diagonal (tolerance 1e-10, at most 50 passes);
+        iteration whose passes linearize the boundary terms at the current
+        end values (tolerance 1e-10 on the change at every node, at most 50
+        passes);
   (iii) solve for b implicitly against the old u (single linear solve);
   (iv)  solve for u_e implicitly against the old u at L, same fixed-point
         treatment of the SERCA term.
 
-Each pass assembles (M/dt + D K - D A) plus boundary contributions and does
-one tridiagonal solve.  The PMCA, NCX and SERCA laws and their slopes come
-from channel_flux (outer_pumps, serca_pump), the same formulas that the flux
-functions there evaluate; this module only places them in the matrices.
-Nodal values in [-1e-8, 0) are clamped to zero before flux evaluation;
-anything below -1e-8 aborts the run.
+With b, u_e and P lagged the three implicit systems are independent, so one
+step makes one tridiagonal solve: the matrices (M/dt + D K - D A) plus the
+reaction sit side by side in one block-diagonal band (zero entries at the
+block seams), with three right-hand sides.  Column 0 holds the IMEX data of
+all three fields and gives y; columns 1 and 2 hold unit vectors at u's L and
+R rows and give g_L and g_R.  The boundary passes only change end entries of
+the u and u_e systems, so by the Sherman-Morrison-Woodbury identity
+
+    u   = y_u + alpha g_L + beta g_R      (2x2 system in alpha, beta)
+    u_e = y_e + beta_e g_e                (scalar Sherman-Morrison update)
+
+where g_e, the static u_e matrix's response to unit data at r = L, is solved
+once per run.  A pass is then plain float arithmetic on the end values; the
+full-vector change is formed only once both ends have settled, because the
+change at the ends bounds the change anywhere from below.  A zero 2x2
+determinant or Sherman-Morrison denominator, which is where the full matrix
+would be singular, raises SingularMatrixError.
+
+The PMCA, NCX and SERCA laws and their slopes come from channel_flux
+(outer_pumps, serca_pump), the same formulas that the flux functions there
+evaluate; this module only places them in the boundary rows.  Nodal values
+in [-1e-8, 0) are clamped to zero before flux evaluation; anything below
+-1e-8 aborts the run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fem_core, ryr_markov, surrogate_net
 from .channel_flux import BufferParams, ErParams, PlasmaParams, outer_pumps, serca_pump
-from .errors import ConfigError, SolverDivergenceError, StateInvariantError
+from .errors import ConfigError, SingularMatrixError, SolverDivergenceError, StateInvariantError
 from .fem_core import BandedMatrix, Mesh1D, build_mesh, solve_tridiagonal
 from .ryr_markov import MarkovRates, MarkovState
 
@@ -208,45 +226,66 @@ class SimState:
         return self.channel.probability
 
 
+def _by_column(mat: BandedMatrix) -> np.ndarray:
+    """Bands as a (3, n) array indexed by matrix column; see _System."""
+    cols = np.zeros((3, mat.dim))
+    cols[0, :-1] = mat.lower
+    cols[1] = mat.diag
+    cols[2, 1:] = mat.upper
+    return cols
+
+
 @dataclass
 class _System:
-    """Assembled matrices and static LHS bands, fixed for a given config."""
+    """Stacked bands of the u, b and u_e solves, fixed for a given config.
+
+    The unknowns (u, b, u_e) sit side by side in one vector of length
+    N = 2 n_c + n_e.  Band arrays are (3, N) and indexed by matrix column:
+    row 0, column j holds entry (j+1, j), row 1 the diagonal, row 2,
+    column j holds entry (j-1, j).  Entries that would couple two blocks are
+    zero, so a reaction term M diag(s) is the column scaling band * s.
+    """
 
     cyto: Mesh1D
     er: Mesh1D
-    mass_c: BandedMatrix
-    mass_e: BandedMatrix
-    u_bands: tuple
-    b_bands: tuple
-    e_bands: tuple
+    static: np.ndarray  # M/dt + D (K - A) per field, plasma leak on u's R row
+    react_mass: np.ndarray  # M of the u and b blocks, zero on the u_e block
+    mass: np.ndarray  # M of all three blocks: nodal data to right-hand side
+    rhs: np.ndarray  # (N, 3) Fortran-ordered; unit vectors at u's L and R rows
+    g_e: np.ndarray  # static u_e matrix's response to unit data at r = L
 
 
 def build_system(cfg: SimConfig) -> _System:
     cfg.validate()
     cyto = build_mesh(cfg.er_radius, cfg.cell_radius, cfg.cyto_elements)
     er = build_mesh(0.0, cfg.er_radius, cfg.er_elements)
-    mass_c = fem_core.assemble_mass(cyto)
-    stiff_c = fem_core.assemble_stiffness(cyto)
-    conv_c = fem_core.assemble_convection(cyto)
-    mass_e = fem_core.assemble_mass(er)
-    stiff_e = fem_core.assemble_stiffness(er)
-    conv_e = fem_core.assemble_convection(er)
+    assemble = (fem_core.assemble_mass, fem_core.assemble_stiffness, fem_core.assemble_convection)
+    mass_c, stiff_c, conv_c = (_by_column(f(cyto)) for f in assemble)
+    mass_e, stiff_e, conv_e = (_by_column(f(er)) for f in assemble)
+    n_c, n_e = cyto.num_nodes, er.num_nodes
 
-    def lhs_bands(mass, stiff, conv, diff):
-        return (
-            mass.lower / cfg.dt + diff * (stiff.lower - conv.lower),
-            mass.diag / cfg.dt + diff * (stiff.diag - conv.diag),
-            mass.upper / cfg.dt + diff * (stiff.upper - conv.upper),
+    static = np.hstack(
+        (
+            mass_c / cfg.dt + cfg.d_calcium * (stiff_c - conv_c),
+            mass_c / cfg.dt + cfg.d_buffer * (stiff_c - conv_c),
+            mass_e / cfg.dt + cfg.d_calcium * (stiff_e - conv_e),
         )
-
+    )
+    if cfg.plasma_enabled:
+        static[1, n_c - 1] += cfg.plasma.leak
+    rhs = np.zeros((2 * n_c + n_e, 3), order="F")
+    rhs[0, 1] = rhs[n_c - 1, 2] = 1.0
+    unit_l = np.zeros(n_e)
+    unit_l[-1] = 1.0
+    e = static[:, 2 * n_c :]
     return _System(
         cyto,
         er,
-        mass_c,
-        mass_e,
-        lhs_bands(mass_c, stiff_c, conv_c, cfg.d_calcium),
-        lhs_bands(mass_c, stiff_c, conv_c, cfg.d_buffer),
-        lhs_bands(mass_e, stiff_e, conv_e, cfg.d_calcium),
+        static,
+        np.hstack((mass_c, mass_c, np.zeros((3, n_e)))),
+        np.hstack((mass_c, mass_c, mass_e)),
+        rhs,
+        solve_tridiagonal(e[0, :-1], e[1], e[2, 1:], unit_l),
     )
 
 
@@ -286,12 +325,11 @@ def _clamped(arr: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_field(arr: np.ndarray, name: str, lo: float, hi: float) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise StateInvariantError(f"{name} became non-finite")
-    if arr.min() < lo or arr.max() > hi:
-        raise StateInvariantError(
-            f"{name} left [{lo}, {hi}]: range [{arr.min()}, {arr.max()}]"
-        )
+    low, high = arr.min(), arr.max()
+    if not (low >= lo and high <= hi):  # NaN fails both comparisons
+        if not np.all(np.isfinite(arr)):
+            raise StateInvariantError(f"{name} became non-finite")
+        raise StateInvariantError(f"{name} left [{lo}, {hi}]: range [{low}, {high}]")
 
 
 def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) -> SimState:
@@ -300,6 +338,7 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
     dt = cfg.dt
     pl, er_p, bf = cfg.plasma, cfg.er, cfg.buffer
     t_next = state.t + dt
+    n_c = sys_.cyto.num_nodes
 
     u_old = _clamped(state.u, "cytosolic calcium")
     b_old = _clamped(state.b, "free buffer")
@@ -314,72 +353,85 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
     p_open = channel.update(u_l, dt)
     gate = er_p.ryr_scale * p_open + er_p.leak  # linear interface conductance
 
-    mass_c = sys_.mass_c
-    # (ii) cytosolic calcium: reaction linear in new u, Hill terms iterated
-    react = bf.bind_rate * b_old
-    low = sys_.u_bands[0] + mass_c.lower * react[:-1]
-    diag = sys_.u_bands[1] + mass_c.diag * react
-    up = sys_.u_bands[2] + mass_c.upper * react[1:]
-    diag[0] += gate
+    # One block-diagonal solve for (ii)-(iv): the reactions M diag(bind b_old)
+    # on u and M diag(unbind + bind u_old) on b are column scalings.
+    scale = np.concatenate(
+        (bf.bind_rate * b_old, bf.unbind_rate + bf.bind_rate * u_old, np.zeros(state.ue.shape[0]))
+    )
+    bands = sys_.static + sys_.react_mass * scale
+    data = np.concatenate((state.u, state.b, state.ue)) / dt
+    data[:n_c] += bf.unbind_rate * (bf.total - b_old)
+    data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
+    prod = sys_.mass * data  # mass @ data, summed in BandedMatrix.matvec's order
+    rhs = sys_.rhs.copy(order="F")
+    y = rhs[:, 0]
+    y[:] = prod[1]
+    y[:-1] += prod[2, 1:]
+    y[1:] += prod[0, :-1]
     if cfg.plasma_enabled:
-        diag[-1] += pl.leak
-    rhs = mass_c.matvec(state.u / dt + bf.unbind_rate * (bf.total - b_old))
-    rhs[0] += gate * ue_l
-    if cfg.plasma_enabled:
-        rhs[-1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
+        y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
+    x = solve_tridiagonal(bands[0, :-1], bands[1], bands[2, 1:], rhs)
 
-    u_new = state.u
-    u_iter = state.u
-    for it in range(BOUNDARY_ITER_MAX + 1):
-        ur = float(u_iter[-1])
-        ul = float(u_iter[0])
+    # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
+    # and PMCA/NCX at u_R and solves the 2x2 system for (alpha, beta)
+    y_u, g_l, g_r = x[:n_c, 0], x[:n_c, 1], x[:n_c, 2]
+    (y_ll, g_ll, g_rl), (y_rr, g_lr, g_rr) = x[[0, n_c - 1]].tolist()
+    ul, ur = float(state.u[0]), float(state.u[-1])
+    alpha = beta = None
+    for _ in range(BOUNDARY_ITER_MAX + 1):
         pumps, pumps_d = outer_pumps(ur, pl) if cfg.plasma_enabled else (0.0, 0.0)
         serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
-        d_it = diag.copy()
-        d_it[-1] += pumps_d
-        d_it[0] += serca_d
-        r_it = rhs.copy()
-        r_it[-1] += -pumps + pumps_d * ur
-        r_it[0] += -serca + serca_d * ul
-        u_new = solve_tridiagonal(low, d_it, up, r_it)
-        delta = float(np.max(np.abs(u_new - u_iter)))
-        u_iter = u_new
-        if delta <= BOUNDARY_ITER_TOL:
-            break
+        c_l = gate + serca_d
+        r_l = gate * ue_l - serca + serca_d * ul - c_l * y_ll
+        r_r = -pumps + pumps_d * ur - pumps_d * y_rr
+        a11, a12 = 1.0 + c_l * g_ll, c_l * g_rl
+        a21, a22 = pumps_d * g_lr, 1.0 + pumps_d * g_rr
+        det = a11 * a22 - a12 * a21
+        if det == 0.0:
+            raise SingularMatrixError(f"singular cytosolic boundary system at t = {t_next}")
+        new_alpha = (r_l * a22 - a12 * r_r) / det
+        new_beta = (a11 * r_r - a21 * r_l) / det
+        new_l = y_ll + new_alpha * g_ll + new_beta * g_rl
+        new_r = y_rr + new_alpha * g_lr + new_beta * g_rr
+        if max(abs(new_l - ul), abs(new_r - ur)) <= BOUNDARY_ITER_TOL:
+            u_new = y_u + new_alpha * g_l + new_beta * g_r
+            if alpha is None:
+                change = u_new - state.u
+            else:
+                change = (new_alpha - alpha) * g_l + (new_beta - beta) * g_r
+            if float(abs(change).max()) <= BOUNDARY_ITER_TOL:
+                break
+        alpha, beta, ul, ur = new_alpha, new_beta, new_l, new_r
     else:
         raise SolverDivergenceError(
             f"outer-boundary iteration did not converge at t = {t_next}"
         )
 
     # (iii) free buffer: fully linear in the new b
-    decay = bf.unbind_rate + bf.bind_rate * u_old
-    low_b = sys_.b_bands[0] + mass_c.lower * decay[:-1]
-    diag_b = sys_.b_bands[1] + mass_c.diag * decay
-    up_b = sys_.b_bands[2] + mass_c.upper * decay[1:]
-    rhs_b = mass_c.matvec(state.b / dt + bf.unbind_rate * bf.total)
-    b_new = solve_tridiagonal(low_b, diag_b, up_b, rhs_b)
+    b_new = x[n_c : 2 * n_c, 0]
 
-    # (iv) ER calcium against the old interface u
-    diag_e = sys_.e_bands[1].copy()
-    diag_e[-1] += gate
-    rhs_e = sys_.mass_e.matvec(state.ue / dt)
-    rhs_e[-1] += gate * u_l
-    ue_new = state.ue
-    ue_iter = state.ue
-    for it in range(BOUNDARY_ITER_MAX + 1):
-        uel = float(ue_iter[-1])
+    # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
+    # gate - dSERCA/du_e on the L row as a Sherman-Morrison update
+    y_e, g_e = x[2 * n_c :, 0], sys_.g_e
+    y_el, g_el = float(x[-1, 0]), float(g_e[-1])
+    uel = float(state.ue[-1])
+    beta_e = None
+    for _ in range(BOUNDARY_ITER_MAX + 1):
         if uel <= 1e-12:
             raise StateInvariantError(f"ER interface concentration collapsed: {uel}")
         serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
-        d_it = diag_e.copy()
-        d_it[-1] -= serca_d
-        r_it = rhs_e.copy()
-        r_it[-1] += serca - serca_d * uel
-        ue_new = solve_tridiagonal(sys_.e_bands[0], d_it, sys_.e_bands[2], r_it)
-        delta = float(np.max(np.abs(ue_new - ue_iter)))
-        ue_iter = ue_new
-        if delta <= BOUNDARY_ITER_TOL:
-            break
+        s = gate - serca_d
+        denom = 1.0 + s * g_el
+        if denom == 0.0:
+            raise SingularMatrixError(f"singular ER boundary system at t = {t_next}")
+        new_beta = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
+        new_l = y_el + new_beta * g_el
+        if abs(new_l - uel) <= BOUNDARY_ITER_TOL:
+            ue_new = y_e + new_beta * g_e
+            change = ue_new - state.ue if beta_e is None else (new_beta - beta_e) * g_e
+            if float(abs(change).max()) <= BOUNDARY_ITER_TOL:
+                break
+        beta_e, uel = new_beta, new_l
     else:
         raise SolverDivergenceError(
             f"ER-boundary iteration did not converge at t = {t_next}"

@@ -76,21 +76,24 @@ def open_probability(state: MarkovState) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def system_matrix(u: float, rates: MarkovRates = MarkovRates()):
-    """Matrix M(u) and constant vector k(u) of the reduced master equation."""
+def _generator(u: float, rates: MarkovRates):
+    """Rows of M(u) and the entries of k(u) as plain floats."""
     if u < 0:
         raise ValueError(f"negative calcium concentration: {u}")
     ra = u**4 * rates.ka_plus
     rb = u**3 * rates.kb_plus
-    m = np.array(
-        [
-            [-ra - rates.ka_minus, -rates.ka_minus, -rates.ka_minus],
-            [-rb, -rb - rates.kb_minus, -rb],
-            [-rates.kc_plus, -rates.kc_plus, -rates.kc_plus - rates.kc_minus],
-        ]
+    m = (
+        (-ra - rates.ka_minus, -rates.ka_minus, -rates.ka_minus),
+        (-rb, -rb - rates.kb_minus, -rb),
+        (-rates.kc_plus, -rates.kc_plus, -rates.kc_plus - rates.kc_minus),
     )
-    k = np.array([rates.ka_minus, rb, rates.kc_plus])
-    return m, k
+    return m, (rates.ka_minus, rb, rates.kc_plus)
+
+
+def system_matrix(u: float, rates: MarkovRates = MarkovRates()):
+    """Matrix M(u) and constant vector k(u) of the reduced master equation."""
+    m, k = _generator(u, rates)
+    return np.array(m), np.array(k)
 
 
 def _solve3(a, b):
@@ -136,9 +139,14 @@ def step_backward_euler(
     """One implicit Euler step: solve (I - dt M(u_next)) x = state + dt k(u_next)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    m, k = system_matrix(u_next, rates)
-    a = np.eye(3) - dt * m
-    rhs = state.as_array() + dt * k
+    # plain floats, same operations as np.eye(3) - dt * M and state + dt * k
+    ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)), (k0, k1, k2) = _generator(u_next, rates)
+    a = (
+        (1.0 - dt * m00, -(dt * m01), -(dt * m02)),
+        (-(dt * m10), 1.0 - dt * m11, -(dt * m12)),
+        (-(dt * m20), -(dt * m21), 1.0 - dt * m22),
+    )
+    rhs = (state.c1 + dt * k0, state.o + dt * k1, state.c2 + dt * k2)
     x = _solve3(a, rhs)
     return MarkovState(x[0], x[1], x[2])
 

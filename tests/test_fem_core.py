@@ -5,8 +5,10 @@ regular entry of the radial convection matrix against adaptive quadrature,
 and the two finite-part entries of the origin row against both their closed
 forms and a numerical epsilon-limit of the regularized integral.  The
 tridiagonal solver (LAPACK gtsv, partial pivoting) is checked against dense
-LU on random systems, including zero and tiny leading pivots, and must
-reject exactly singular systems.
+LU on random systems with one or several right-hand sides, including zero
+and tiny leading pivots, and must reject exactly singular systems.  A
+block-diagonal system with zero seam entries must solve bit for bit as its
+blocks solved one by one.
 """
 
 import math
@@ -234,20 +236,56 @@ TRIDIAGONAL_SYSTEMS = st.integers(1, 40).flatmap(_bands)
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
+def _with_columns(rhs, extra):
+    """rhs as drawn (k = None) or as an (n, k) block with more columns."""
+    return rhs if extra is None else np.column_stack([rhs] + [rhs * (j + 2.0) - j for j in range(extra)])
+
+
 @PROPERTY_SETTINGS
-@given(system=TRIDIAGONAL_SYSTEMS, lead=st.sampled_from([None, 0.0, 1e-300, -1e-17, 1e-12]))
-def test_solve_tridiagonal_matches_dense_solve(system, lead):
+@given(
+    system=TRIDIAGONAL_SYSTEMS,
+    lead=st.sampled_from([None, 0.0, 1e-300, -1e-17, 1e-12]),
+    extra=st.sampled_from([None, 0, 1, 2]),  # 1-D, or k = 1..3 columns
+)
+def test_solve_tridiagonal_matches_dense_solve(system, lead, extra):
     lower, diag, upper, rhs = system
     if lead is not None:  # zero or tiny leading pivot
         diag = diag.copy()
         diag[0] = lead
+    rhs = _with_columns(rhs, extra)
     dense = fem_core.BandedMatrix(lower, diag, upper).to_dense()
     cond = np.linalg.cond(dense)
     assume(cond < 1e8)
     x = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
     expected = np.linalg.solve(dense, rhs)
+    assert x.shape == rhs.shape
     # both solves are backward stable: forward errors scale with cond * eps
     assert np.max(np.abs(x - expected)) <= 1e-12 * cond * np.max(np.abs(expected))
+
+
+@PROPERTY_SETTINGS
+@given(
+    blocks=st.lists(TRIDIAGONAL_SYSTEMS, min_size=1, max_size=3),
+    zero_lead=st.booleans(),
+    extra=st.sampled_from([None, 0, 1, 2]),
+)
+def test_block_diagonal_solve_equals_separate_solves(blocks, zero_lead, extra):
+    parts = [(lower, diag.copy(), upper, _with_columns(rhs, extra)) for lower, diag, upper, rhs in blocks]
+    if zero_lead:  # a zero leading pivot forces a row swap inside the first block
+        parts[0][1][0] = 0.0
+    seam = np.zeros(1)
+    lower = np.concatenate([np.concatenate((p[0], seam)) for p in parts])[:-1]
+    upper = np.concatenate([np.concatenate((seam, p[2])) for p in parts])[1:]
+    diag = np.concatenate([p[1] for p in parts])
+    rhs = np.concatenate([p[3] for p in parts])
+    try:
+        separate = np.concatenate([fem_core.solve_tridiagonal(*p) for p in parts])
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            fem_core.solve_tridiagonal(lower, diag, upper, rhs)
+        return
+    stacked = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
+    assert stacked.tobytes() == separate.tobytes()
 
 
 @PROPERTY_SETTINGS

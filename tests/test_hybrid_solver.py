@@ -6,16 +6,25 @@ the drift of the conserved total); and the sealed-membrane conserved quantity
 must be exact for fields where the trapezoid rule is exact.  Wave causality
 is asserted on onset times: the outer membrane sees the stimulus first, the
 store interface later.
-"""
 
-import math
+One condensed step is checked against a dense reference that assembles the
+three matrices in full and runs the boundary fixed point with a full solve
+per pass; a boundary system made exactly singular must raise
+SingularMatrixError, and the CLI must report it with exit code 3.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cawave import cli, fem_core
 from cawave import hybrid_solver as hs
 from cawave import surrogate_net as sn
-from cawave.errors import ConfigError, StateInvariantError
+from cawave.channel_flux import outer_pumps, serca_pump
+from cawave.config import load_config
+from cawave.errors import ConfigError, SingularMatrixError, StateInvariantError
 
 
 def sealed_config(**overrides):
@@ -237,3 +246,142 @@ def test_wave_duration_definition():
         runs = runs + 1 if flag else 0
         best = max(best, runs)
     assert out.wave_duration == pytest.approx(best * cfg.dt, rel=1e-12)
+
+
+class FixedChannel:
+    """Gating handle that holds the open probability at a given value."""
+
+    def __init__(self, probability):
+        self.probability = probability
+
+    def update(self, u_interface, dt):
+        return self.probability
+
+    def copy(self):
+        return FixedChannel(self.probability)
+
+
+def _fixed_point(start, system):
+    """Boundary iteration with one full dense solve per pass."""
+    x = start
+    for _ in range(hs.BOUNDARY_ITER_MAX + 1):
+        new = np.linalg.solve(*system(x))
+        if np.max(np.abs(new - x)) <= hs.BOUNDARY_ITER_TOL:
+            return new
+        x = new
+    raise AssertionError("reference boundary iteration did not converge")
+
+
+def reference_step(state, cfg):
+    """One IMEX step on dense matrices: (ii) u, (iii) b, (iv) u_e in turn."""
+    cyto = fem_core.build_mesh(cfg.er_radius, cfg.cell_radius, cfg.cyto_elements)
+    er = fem_core.build_mesh(0.0, cfg.er_radius, cfg.er_elements)
+    assemble = (fem_core.assemble_mass, fem_core.assemble_stiffness, fem_core.assemble_convection)
+    mc, kc, ac = (f(cyto).to_dense() for f in assemble)
+    me, ke, ae = (f(er).to_dense() for f in assemble)
+    dt, pl, er_p, bf = cfg.dt, cfg.plasma, cfg.er, cfg.buffer
+    u_old, b_old, ue_old = (np.maximum(f, 0.0) for f in (state.u, state.b, state.ue))
+    u_l, ue_l = u_old[0], ue_old[-1]
+    gate = er_p.ryr_scale * state.channel.copy().update(u_l, dt) + er_p.leak
+
+    a_u = mc / dt + cfg.d_calcium * (kc - ac) + mc @ np.diag(bf.bind_rate * b_old)
+    a_u[0, 0] += gate
+    r_u = mc @ (state.u / dt + bf.unbind_rate * (bf.total - b_old))
+    r_u[0] += gate * ue_l
+    if cfg.plasma_enabled:
+        a_u[-1, -1] += pl.leak
+        r_u[-1] += pl.leak * pl.c_out + cfg.stimulus.value(state.t + dt)
+
+    def u_system(x):
+        pumps, pumps_d = outer_pumps(x[-1], pl) if cfg.plasma_enabled else (0.0, 0.0)
+        serca, serca_d, _ = serca_pump(x[0], ue_l, er_p)
+        a, r = a_u.copy(), r_u.copy()
+        a[-1, -1] += pumps_d
+        a[0, 0] += serca_d
+        r[-1] += -pumps + pumps_d * x[-1]
+        r[0] += -serca + serca_d * x[0]
+        return a, r
+
+    a_b = mc / dt + cfg.d_buffer * (kc - ac) + mc @ np.diag(
+        bf.unbind_rate + bf.bind_rate * u_old)
+    b_new = np.linalg.solve(a_b, mc @ (state.b / dt + bf.unbind_rate * bf.total))
+
+    a_e = me / dt + cfg.d_calcium * (ke - ae)
+    a_e[-1, -1] += gate
+    r_e = me @ (state.ue / dt)
+    r_e[-1] += gate * u_l
+
+    def ue_system(x):
+        serca, _, serca_d = serca_pump(u_l, x[-1], er_p)
+        a, r = a_e.copy(), r_e.copy()
+        a[-1, -1] -= serca_d
+        r[-1] += serca - serca_d * x[-1]
+        return a, r
+
+    return _fixed_point(state.u, u_system), b_new, _fixed_point(state.ue, ue_system)
+
+
+def _perturbed(n, low, high):
+    return arrays(np.float64, n, elements=st.floats(low, high), fill=st.nothing())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    du=_perturbed(13, 0.0, 3.0),
+    db=_perturbed(13, -15.0, 3.0),
+    due=_perturbed(9, -100.0, 100.0),
+    p_open=st.floats(0.0, 1.0),
+    dt=st.sampled_from([1e-4, 4e-4, 2e-3, 1e-2]),
+    t=st.floats(0.0, 1.5),
+    plasma=st.booleans(),
+)
+def test_step_matches_dense_reference(du, db, due, p_open, dt, t, plasma):
+    cfg = hs.preset_config(
+        "example1", cyto_elements=12, er_elements=8, dt=dt, plasma_enabled=plasma
+    )
+    sys_ = hs.build_system(cfg)
+    rest = hs.make_initial_state(cfg, sys_)
+    state = hs.SimState(
+        t, rest.u + du, rest.b + db, rest.ue + due, FixedChannel(p_open), sys_.cyto, sys_.er
+    )
+    new = hs.step_imex(state, cfg, sys_)
+    for got, want in zip((new.u, new.b, new.ue), reference_step(state, cfg)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _singular_er_slope(cfg):
+    """A SERCA slope d/du_e that makes the ER Sherman-Morrison denominator
+    1 + (gate - slope) g_e(L) exactly zero, with the channel shut (P = 0)."""
+    g_el = float(hs.build_system(cfg).g_e[-1])
+    gate = cfg.er.ryr_scale * 0.0 + cfg.er.leak
+    slope = gate + 1.0 / g_el
+    for _ in range(64):
+        denom = 1.0 + (gate - slope) * g_el
+        if denom == 0.0:
+            return slope
+        slope = np.nextafter(slope, np.inf if denom > 0.0 else -np.inf)
+    raise AssertionError("no slope makes the denominator exactly zero")
+
+
+def _patch_serca_slope(monkeypatch, slope):
+    def serca_with_slope(u, u_e, params):
+        return 0.0, 0.0, slope
+
+    monkeypatch.setattr(hs, "serca_pump", serca_with_slope)
+
+
+def test_singular_boundary_system_raises(monkeypatch):
+    cfg = hs.preset_config("example1", channel="zero", cyto_elements=8, er_elements=8)
+    _patch_serca_slope(monkeypatch, _singular_er_slope(cfg))
+    sys_ = hs.build_system(cfg)
+    with pytest.raises(SingularMatrixError):
+        hs.step_imex(hs.make_initial_state(cfg, sys_), cfg, sys_)
+
+
+def test_singular_boundary_system_exits_3(monkeypatch, tmp_path, capsys):
+    overrides = dict(channel="zero", dt=0.01, t_end=0.01, er_elements=8, cyto_elements=8)
+    _patch_serca_slope(monkeypatch, _singular_er_slope(load_config(None).sim_config(**overrides)))
+    argv = ["simulate", "--channel", "zero", "--dt", "0.01", "--t-end", "0.01",
+            "--elements", "8", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "singular ER boundary system" in capsys.readouterr().err

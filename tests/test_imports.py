@@ -1,0 +1,60 @@
+"""Every imported name in the package and its tests is read somewhere.
+
+An import that nothing reads is dead code that still costs load time and
+misleads the reader about a module's dependencies.  The check walks each
+module's AST: a name bound by an import must appear as a loaded Name (or the
+root of an attribute chain).  Exempt are ``from __future__`` imports and the
+names that ``cawave/__init__.py`` re-exports through ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "cawave").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    if path.name == "__init__.py":
+        read |= _exported(tree)
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_detects_an_unused_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import math\nimport os.path\nfrom json import dumps, loads\n"
+        "print(os.path.sep, loads)\n"
+    )
+    assert unused_imports(module) == ["dumps (line 4)", "math (line 2)"]

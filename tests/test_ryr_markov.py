@@ -3,11 +3,15 @@
 The steady state at any calcium level has a direct 3x3 solve as its oracle;
 backward Euler must reach the same point from any start because the affine
 system's fixed point is dt-independent.  Integrator order is measured against
-a fine classical Runge-Kutta reference.
+a fine classical Runge-Kutta reference.  Over random rates, calcium levels,
+step sizes and starting states, one backward-Euler step must stay in the
+probability simplex and solve its linear system to roundoff.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cawave import ryr_markov as rm
@@ -143,3 +147,34 @@ def test_stepper_input_validation():
         rm.step_backward_euler(rm.FULLY_CLOSED_STATE, 0.05, 0.0)
     with pytest.raises(ValueError):
         rm.steady_state(-2.0)
+
+
+RATES = st.builds(
+    rm.MarkovRates,
+    *(st.floats(0.0, 2000.0) for _ in range(6)),
+)
+# four nonnegative weights normalized onto the simplex; the fourth state is implied
+SIMPLEX_STATES = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 0.0
+).map(lambda w: rm.MarkovState(*(v / sum(w) for v in w[:3])))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    rates=RATES,
+    u=st.floats(0.0, 30.0),
+    dt=st.floats(1e-6, 1.0),
+    state=SIMPLEX_STATES,
+)
+def test_backward_euler_step_properties(rates, u, dt, state):
+    new = rm.step_backward_euler(state, u, dt, rates)
+    x = new.as_array()
+    assert np.all(x >= -1e-12)
+    assert 1.0 - x.sum() >= -1e-12  # the implied fourth state
+    m, k = rm.system_matrix(u, rates)
+    a = np.eye(3) - dt * m
+    b = state.as_array() + dt * k
+    # normwise relative residual: backward stable solves leave O(eps) here
+    residual = np.max(np.abs(a @ x - b))
+    scale = np.max(np.abs(a)) * np.max(np.abs(x)) + np.max(np.abs(b))
+    assert residual <= 1e-12 * scale
