@@ -14,8 +14,9 @@ Every subcommand accepts --config/--seed/--out/--threads.  Exit codes: 0 on
 success, 2 for configuration errors (including argparse failures), 3 for
 numeric failures, 4 for I/O errors.  Each output file gets a sidecar
 <file>.meta.json recording the config digest, seed, and library versions;
-the data files themselves carry no timestamps, so fixed seeds reproduce them
-bit for bit.
+train's sidecars also record the effective training values and the input
+dataset's name and CRC32.  The data files themselves carry no timestamps, so
+fixed seeds reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import sys
 
 import numpy as np
 
-from . import __version__, convergence, datasets, hybrid_solver, ryr_markov, surrogate_net
+from . import __version__, container, convergence, datasets, hybrid_solver, ryr_markov
+from . import surrogate_net
 from .config import RunConfig, load_config
 from .errors import ConfigError, NumericError
 
 MAX_SEED = 2**64 - 1
 
 
-def _write_sidecar(path, command: str, cfg: RunConfig, seed) -> None:
+def _write_sidecar(path, command: str, cfg: RunConfig, seed, extra=None) -> None:
     meta = {
         "file": os.path.basename(path),
         "command": command,
@@ -47,6 +49,7 @@ def _write_sidecar(path, command: str, cfg: RunConfig, seed) -> None:
             "python": sys.version.split()[0],
         },
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **(extra or {}),
     }
     with open(f"{path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -114,6 +117,19 @@ def cmd_train(args) -> int:
     seed = net["seed"]
 
     samples = datasets.load_samples(args.data)
+    provenance = {
+        "training": {
+            "epochs": epochs,
+            "batch_size": batch_size,
+            "validation_fraction": val_fraction,
+            "subset": args.subset,
+            "learning_rate": net["learning_rate"],
+        },
+        "data": {
+            "file": os.path.basename(args.data),
+            "crc32": f"{container.stored_crc(args.data):08x}",
+        },
+    }
     if args.subset is not None:
         if not 1 <= args.subset <= samples.shape[0]:
             raise ConfigError(
@@ -135,14 +151,14 @@ def cmd_train(args) -> int:
 
     weights_path = os.path.join(args.out, "weights.cwnn")
     surrogate_net.save_weights(weights_path, params)
-    _write_sidecar(weights_path, "train", cfg, seed)
+    _write_sidecar(weights_path, "train", cfg, seed, provenance)
 
     loss_path = os.path.join(args.out, "loss_history.csv")
     with open(loss_path, "w") as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for epoch, (tr, va) in enumerate(zip(history.train, history.validation), start=1):
             fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
-    _write_sidecar(loss_path, "train", cfg, seed)
+    _write_sidecar(loss_path, "train", cfg, seed, provenance)
 
     print(f"trained on {samples.shape[0]} samples for {epochs} epochs")
     print(f"final train loss {history.train[-1]:.6e}, val loss {history.validation[-1]:.6e}")

@@ -38,3 +38,10 @@ def read(path, magic: bytes, version: int, min_body: int, kind: str) -> memoryvi
     if found != version:
         raise FormatVersionError(f"{path}: unsupported format version {found}")
     return blob[8:-4]
+
+
+def stored_crc(path) -> int:
+    """The CRC32 trailer as stored in the file; read() is what verifies it."""
+    with open(path, "rb") as fh:
+        fh.seek(-4, 2)  # 2: from the end
+        return struct.unpack("<I", fh.read(4))[0]

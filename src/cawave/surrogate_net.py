@@ -8,6 +8,15 @@ exact backpropagation with the ReLU subgradient taken as 0 at 0, and both
 initialization and minibatch order are driven by a seeded PCG64 generator so
 a training run is reproducible bit for bit.
 
+All parameters live in one flat float64 vector, NetworkParams.theta, in the
+CWNN layer order (W0, b0, W1, b1, ...); the per-layer weights and biases are
+reshaped views into it.  Gradients use the same layout, so Adam is a handful
+of in-place vector operations on theta and its two moment vectors.  A
+training run allocates its batch, activation, delta and gradient buffers once
+(a _Workspace) and every minibatch writes into them.  forward works through
+large inputs in blocks of FORWARD_BLOCK_ROWS rows, so a validation pass never
+holds more than one block's activations.
+
 During a simulation the network advances the open probability explicitly,
 
     P_next = clip(P + dt * F(P, u, du/dt), 0, 1),
@@ -21,44 +30,84 @@ CRC32 trailer); see save_weights / load_weights.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .errors import CorruptFileError, ShapeMismatchError
+from .errors import CorruptFileError, ShapeMismatchError, StateInvariantError
 
 LAYER_SIZES = (3, 200, 64, 16, 1)
 PARAMETER_COUNT = 14721  # sum over layers of (fan_in + 1) * fan_out
+FORWARD_BLOCK_ROWS = 1024  # forward's row block for large inputs
 WEIGHTS_MAGIC = b"CWNN"
 WEIGHTS_VERSION = 1
 
 
-@dataclass
 class NetworkParams:
-    """Weight matrices (fan_out, fan_in) and bias vectors per layer."""
+    """Weight matrices (fan_out, fan_in) and bias vectors per layer.
 
-    weights: list
-    biases: list
+    theta is the one flat parameter vector; weights[i] and biases[i] are views
+    into it, so an in-place edit of either shows in the other.  The
+    constructor copies the given arrays into a new vector and checks their
+    shapes and finiteness.
+    """
 
-    def __post_init__(self):
+    def __init__(self, weights, biases):
         expected = list(zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]))
-        shapes = [w.shape for w in self.weights]
+        shapes = [w.shape for w in weights]
         if shapes != expected:
             raise ValueError(f"weight shapes {shapes} != {expected}")
-        bias_shapes = [b.shape for b in self.biases]
+        bias_shapes = [b.shape for b in biases]
         if bias_shapes != [(n,) for n in LAYER_SIZES[1:]]:
             raise ValueError(f"bias shapes {bias_shapes} wrong")
-        for arr in self.weights + self.biases:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite network parameter")
+        theta = np.empty(PARAMETER_COUNT)
+        self._bind(theta)
+        for dst, src in zip(self.weights + self.biases, list(weights) + list(biases)):
+            dst[...] = src
+        if not np.isfinite(theta).all():
+            raise ValueError("non-finite network parameter")
+
+    @classmethod
+    def _wrap(cls, theta: np.ndarray) -> "NetworkParams":
+        """Views into theta with no checks (gradients, copies of checked parameters)."""
+        params = cls.__new__(cls)
+        params._bind(theta)
+        return params
+
+    def _bind(self, theta: np.ndarray) -> None:
+        self.theta = theta
+        self.weights, self.biases = [], []
+        pos = 0
+        for fan_out, fan_in in zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]):
+            self.weights.append(theta[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+            pos += fan_out * fan_in
+            self.biases.append(theta[pos : pos + fan_out])
+            pos += fan_out
 
     def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.theta.size
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return NetworkParams._wrap(self.theta.copy())
+
+
+class _Workspace:
+    """Buffers for forward/backward over up to `rows` samples, allocated once.
+
+    A smaller batch uses the first rows of each buffer.  The gradients are
+    overwritten by every backward call that is handed this workspace.
+    """
+
+    def __init__(self, rows: int):
+        self.batch = np.empty((rows, 4))
+        self.acts = [np.empty((rows, n)) for n in LAYER_SIZES[1:]]
+        self.deltas = [np.empty((rows, n)) for n in LAYER_SIZES[1:-1]]
+        self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
+        self.grads = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
 
 
 def init_network(seed: int = 0) -> NetworkParams:
@@ -72,75 +121,110 @@ def init_network(seed: int = 0) -> NetworkParams:
     return NetworkParams(weights, biases)
 
 
+def _forward_into(params: NetworkParams, x: np.ndarray, acts: list) -> np.ndarray:
+    """Forward pass of x (n, 3) into the first n rows of acts; returns the outputs (n,)."""
+    n = x.shape[0]
+    a = x
+    last = len(params.weights) - 1
+    for layer, (w, b, buf) in enumerate(zip(params.weights, params.biases, acts)):
+        z = buf[:n]
+        np.matmul(a, w.T, out=z)
+        z += b
+        if layer < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
+    return a[:, 0]
+
+
+def _forward_rows(params: NetworkParams, a: np.ndarray) -> np.ndarray:
+    """Outputs (n,) for inputs a (n, 3), allocating each layer's activations."""
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = a @ w.T + b
+        np.maximum(a, 0.0, out=a)
+    return (a @ params.weights[-1].T + params.biases[-1])[:, 0]
+
+
 def forward(params: NetworkParams, x: np.ndarray):
-    """Network output for a single input (3,) or a batch (N, 3)."""
+    """Network output for a single input (3,) or a batch (N, 3).
+
+    A batch of more than FORWARD_BLOCK_ROWS rows is evaluated block by block,
+    through one set of block-sized activation buffers, into one output
+    vector; each row's arithmetic is the same either way.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = a @ w.T + b
-        np.maximum(a, 0.0, out=a)
-    out = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
-    return float(out[0]) if single else out
+    if a.shape[0] <= FORWARD_BLOCK_ROWS:
+        # per-step single inputs take this path; buffers would only add calls
+        out = _forward_rows(params, a)
+        return float(out[0]) if single else out
+    acts = [np.empty((FORWARD_BLOCK_ROWS, k)) for k in LAYER_SIZES[1:]]
+    out = np.empty(a.shape[0])
+    for start in range(0, a.shape[0], FORWARD_BLOCK_ROWS):
+        stop = start + FORWARD_BLOCK_ROWS
+        out[start:stop] = _forward_into(params, a[start:stop], acts)
+    return out
+
+
+def _check_batch(batch) -> np.ndarray:
+    batch = np.asarray(batch, dtype=float)
+    if batch.ndim != 2 or batch.shape[1] != 4 or batch.shape[0] == 0:
+        raise ValueError(f"batch must be (N, 4) with N >= 1, got {batch.shape}")
+    return batch
 
 
 def loss(params: NetworkParams, batch: np.ndarray) -> float:
     """Mean squared error of predicted dP/dt over a (N, 4) sample block."""
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] != 4 or batch.shape[0] == 0:
-        raise ValueError(f"batch must be (N, 4) with N >= 1, got {batch.shape}")
+    batch = _check_batch(batch)
     pred = forward(params, batch[:, :3])
     err = pred - batch[:, 3]
     return float(np.mean(err * err))
 
 
-def backward(params: NetworkParams, batch: np.ndarray):
+def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | None = None):
     """Batch loss and its exact MSE gradient via backpropagation.
 
-    Returns (loss, (weight_grads, bias_grads)) with the gradients shaped like
-    the parameters; the loss is the value loss() gives, from the same forward
-    pass.  The ReLU subgradient at exactly 0 is taken as 0 (the unit stays off).
+    Returns (loss, grads): grads is a NetworkParams-shaped view of one flat
+    gradient vector, grads.theta, laid out like params.theta; the loss is the
+    value loss() gives, from the same forward pass.  The ReLU subgradient at
+    exactly 0 is taken as 0 (the unit stays off).  With a workspace of at
+    least N rows, every intermediate and the gradients go into its buffers
+    (and the returned grads are the workspace's); without one, they are
+    allocated for this call.
     """
-    batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[1] != 4 or batch.shape[0] == 0:
-        raise ValueError(f"batch must be (N, 4) with N >= 1, got {batch.shape}")
-    x = batch[:, :3]
-    y = batch[:, 3]
+    batch = _check_batch(batch)
     n = batch.shape[0]
+    work = workspace if workspace is not None else _Workspace(n)
+    x = batch[:, :3]
+    out = _forward_into(params, x, work.acts)
+    err = out - batch[:, 3]
+    batch_loss = float(np.mean(err * err))
 
-    acts = [x]  # post-activation per layer, starting with the input
-    pre = []
-    a = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w.T + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
-    out = (a @ params.weights[-1].T + params.biases[-1])[:, 0]
-    err = out - y
-
-    w_grads = [None] * len(params.weights)
-    b_grads = [None] * len(params.biases)
-    delta = (2.0 / n) * err[:, None]  # d loss / d output, (N, 1)
-    w_grads[-1] = delta.T @ acts[-1]
-    b_grads[-1] = delta.sum(axis=0)
+    acts = [x] + [a[:n] for a in work.acts[:-1]]  # post-activation inputs per layer
+    grads = work.grads
+    delta = work.acts[-1][:n]  # d loss / d output, (N, 1), in the output's buffer
+    np.multiply(err[:, None], 2.0 / n, out=delta)
+    np.matmul(delta.T, acts[-1], out=grads.weights[-1])
+    np.sum(delta, axis=0, out=grads.biases[-1])
     for layer in range(len(params.weights) - 2, -1, -1):
-        delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
-        w_grads[layer] = delta.T @ acts[layer]
-        b_grads[layer] = delta.sum(axis=0)
-    return float(np.mean(err * err)), (w_grads, b_grads)
+        hidden = work.deltas[layer][:n]
+        np.matmul(delta, params.weights[layer + 1], out=hidden)
+        # post-activation > 0 exactly where the pre-activation is > 0
+        hidden *= np.greater(acts[layer + 1], 0.0, out=work.masks[layer][:n])
+        np.matmul(hidden.T, acts[layer], out=grads.weights[layer])
+        np.sum(hidden, axis=0, out=grads.biases[layer])
+        delta = hidden
+    return batch_loss, grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """Flat first/second moment vectors (laid out like theta) plus hyperparameters."""
 
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -158,37 +242,44 @@ def init_adam(
         raise ValueError("learning rate must be positive")
     if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
         raise ValueError("betas must lie in [0, 1)")
-    zeros = lambda: [np.zeros((fo, fi)) for fo, fi in zip(LAYER_SIZES[1:], LAYER_SIZES[:-1])]
-    zeros_b = lambda: [np.zeros(fo) for fo in LAYER_SIZES[1:]]
-    return AdamState(zeros(), zeros(), zeros_b(), zeros_b(), 0, learning_rate, beta1, beta2, epsilon)
+    zeros = np.zeros(PARAMETER_COUNT)
+    return AdamState(zeros, zeros.copy(), 0, learning_rate, beta1, beta2, epsilon)
 
 
-def adam_step(params: NetworkParams, grads, state: AdamState):
-    """One Adam update; returns (new_params, new_state), inputs untouched."""
-    w_grads, b_grads = grads
+def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState):
+    """One Adam update, in place; returns (params, state), the objects passed in.
+
+    params.theta, state.m and state.v are overwritten (two scratch vectors
+    hold the intermediates) and state.step advances.  The operation order is
+    fixed: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, and
+    theta = theta - lr*(m/c1)/(sqrt(v/c2)+eps) with c_i = 1 - b_i**t.
+    A non-finite theta after the update raises FloatingPointError; params
+    then hold that update.
+    """
+    g = grads.theta
     t = state.step + 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-
-    def update(theta, g, m, v):
-        m_new = b1 * m + (1 - b1) * g
-        v_new = b2 * v + (1 - b2) * g * g
-        theta_new = theta - lr * (m_new / corr1) / (np.sqrt(v_new / corr2) + eps)
-        return theta_new, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for theta, g, m, v in zip(params.weights, w_grads, state.m_w, state.v_w):
-        a, b, c = update(theta, g, m, v)
-        new_w.append(a), new_mw.append(b), new_vw.append(c)
-    new_b, new_mb, new_vb = [], [], []
-    for theta, g, m, v in zip(params.biases, b_grads, state.m_b, state.v_b):
-        a, b, c = update(theta, g, m, v)
-        new_b.append(a), new_mb.append(b), new_vb.append(c)
-    new_state = AdamState(
-        new_mw, new_vw, new_mb, new_vb, t, lr, state.beta1, state.beta2, state.epsilon
-    )
-    return NetworkParams(new_w, new_b), new_state
+    m, v, theta = state.m, state.v, params.theta
+    s1 = np.multiply(g, 1 - b1)
+    m *= b1
+    m += s1
+    np.multiply(g, 1 - b2, out=s1)
+    s1 *= g
+    v *= b2
+    v += s1
+    np.divide(m, corr1, out=s1)
+    s1 *= lr
+    s2 = np.divide(v, corr2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    theta -= s1
+    state.step = t
+    if not np.isfinite(theta).all():
+        raise FloatingPointError(f"non-finite network parameter after Adam step {t}")
+    return params, state
 
 
 @dataclass
@@ -223,7 +314,8 @@ def train(
     the end of the epoch over the held-out trailing split.  With
     normalize_inputs the inputs are standardized with training-split moments
     and the affine map is folded back into the first layer afterwards, so the
-    returned network always consumes raw (P, u, du/dt).
+    returned network always consumes raw (P, u, du/dt).  The updates run in
+    place on copies, so the params and adam passed in are left unchanged.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -234,9 +326,11 @@ def train(
         raise ValueError("validation_fraction must lie in [0, 1)")
 
     rng = np.random.default_rng(seed)
-    if params is None:
-        params = init_network(seed)
-    state = adam if adam is not None else init_adam()
+    params = init_network(seed) if params is None else params.copy()
+    if adam is None:
+        state = init_adam()
+    else:
+        state = dataclasses.replace(adam, m=adam.m.copy(), v=adam.v.copy())
 
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
     train_set = samples[train_idx]
@@ -255,14 +349,16 @@ def train(
             val_set[:, :3] = (val_set[:, :3] - mu) / sigma
 
     n_train = train_set.shape[0]
+    work = _Workspace(min(batch_size, n_train))
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
     for epoch in range(epochs):
         order = rng.permutation(n_train)
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
-            batch = train_set[order[start : start + batch_size]]
-            batch_loss, grads = backward(params, batch)
+            idx = order[start : start + batch_size]
+            batch = train_set.take(idx, axis=0, out=work.batch[: idx.size], mode="clip")
+            batch_loss, grads = backward(params, batch, work)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
             params, state = adam_step(params, grads, state)
@@ -286,6 +382,11 @@ def predict_next_probability(
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rate = forward(params, np.array([p_prev, u_prev, dudt_prev]))
+    if not math.isfinite(rate):
+        raise StateInvariantError(
+            f"surrogate rate dP/dt is non-finite ({rate}) at P={p_prev}, u={u_prev}, "
+            f"du/dt={dudt_prev}"
+        )
     return min(max(p_prev + dt * rate, 0.0), 1.0)
 
 
@@ -336,8 +437,8 @@ def load_weights(path) -> NetworkParams:
         offset += 8 * rows * cols
         b = np.frombuffer(body, dtype="<f8", count=rows, offset=offset)
         offset += 8 * rows
-        weights.append(w.astype(float))
-        biases.append(b.astype(float))
+        weights.append(w)
+        biases.append(b)
     if offset != len(body):
         raise CorruptFileError(f"{path}: trailing bytes after last layer")
-    return NetworkParams(weights, biases)
+    return NetworkParams(weights, biases)  # copies the file's views into one vector

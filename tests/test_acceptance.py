@@ -128,20 +128,6 @@ def test_c04_manufactured_solution_orders():
 def test_c05_gradient_check():
     rng = np.random.default_rng(42)
     params = sn.init_network(seed=1)
-
-    def flatten(p):
-        return np.concatenate([a.ravel() for pair in zip(p.weights, p.biases) for a in pair])
-
-    def unflatten(vec):
-        ws, bs, pos = [], [], 0
-        for w, b in zip(params.weights, params.biases):
-            ws.append(vec[pos : pos + w.size].reshape(w.shape))
-            pos += w.size
-            bs.append(vec[pos : pos + b.size])
-            pos += b.size
-        return sn.NetworkParams(ws, bs)
-
-    theta0 = flatten(params)
     step = 1e-6
     total = bad = 0
     for _ in range(10):
@@ -161,12 +147,12 @@ def test_c05_gradient_check():
                 break
         batch = np.array([[x[0], x[1], x[2], rng.uniform(-1.0, 1.0)]])
         _, grads = sn.backward(params, batch)
-        g_flat = flatten(sn.NetworkParams(list(grads[0]), list(grads[1])))
-        for c in rng.choice(theta0.size, size=100, replace=False):
-            tp, tm = theta0.copy(), theta0.copy()
-            tp[c] += step
-            tm[c] -= step
-            fd = (sn.loss(unflatten(tp), batch) - sn.loss(unflatten(tm), batch)) / (2 * step)
+        g_flat = grads.theta
+        for c in rng.choice(sn.PARAMETER_COUNT, size=100, replace=False):
+            plus, minus = params.copy(), params.copy()
+            plus.theta[c] += step
+            minus.theta[c] -= step
+            fd = (sn.loss(plus, batch) - sn.loss(minus, batch)) / (2 * step)
             denom = max(abs(fd), abs(g_flat[c]), 1e-8)
             total += 1
             if abs(fd - g_flat[c]) / denom > 1e-5:

@@ -88,6 +88,34 @@ def test_sidecar_contents(workdir):
     assert "created" in meta
 
 
+def test_train_sidecars_record_the_effective_training_run(workdir, tmp_path):
+    records = []
+    for epochs in ("1", "2"):
+        out = tmp_path / epochs
+        r = run_cli(
+            "train", "--data", str(workdir / "training_set_I.cwds"),
+            "--epochs", epochs, "--subset", "500", "--seed", "4", "--out", str(out),
+            cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        weights_meta = json.loads((out / "weights.cwnn.meta.json").read_text())
+        loss_meta = json.loads((out / "loss_history.csv.meta.json").read_text())
+        for meta in (weights_meta, loss_meta):
+            del meta["created"], meta["file"]
+        assert weights_meta == loss_meta
+        records.append(weights_meta)
+    first, second = records
+    assert first["config_sha256"] == second["config_sha256"]  # the INI file alone
+    assert first != second
+    assert (first["training"]["epochs"], second["training"]["epochs"]) == (1, 2)
+    assert first["training"]["subset"] == 500 and first["training"]["batch_size"] == 640
+    data = (workdir / "training_set_I.cwds").read_bytes()
+    assert first["data"] == {
+        "file": "training_set_I.cwds",
+        "crc32": data[-4:][::-1].hex(),  # the little-endian trailer
+    }
+
+
 def test_train_outputs(workdir):
     lines = (workdir / "loss_history.csv").read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss"

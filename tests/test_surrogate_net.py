@@ -4,8 +4,9 @@ Backpropagation is validated against central finite differences away from
 ReLU kinks; the first Adam step against its closed form (a fresh optimizer
 moves every coordinate by learning_rate * sign(g) up to the epsilon floor);
 ReLU dead paths by exact loss invariance under perturbations of weights that
-feed inactive units.  The CWNN container must reject every single-byte flip
-and every truncation.
+feed inactive units.  The in-place trainer must match a list-based reference
+trainer (allocating forward/backward, per-layer Adam) bit for bit.  The CWNN
+container must reject every single-byte flip and every truncation.
 """
 
 import numpy as np
@@ -14,24 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cawave import cli, datasets
 from cawave import surrogate_net as sn
-from cawave.errors import CorruptFileError, FormatVersionError
-
-
-def flatten(params):
-    return np.concatenate(
-        [a.ravel() for pair in zip(params.weights, params.biases) for a in pair]
-    )
-
-
-def unflatten(template, vec):
-    ws, bs, pos = [], [], 0
-    for w, b in zip(template.weights, template.biases):
-        ws.append(vec[pos : pos + w.size].reshape(w.shape))
-        pos += w.size
-        bs.append(vec[pos : pos + b.size])
-        pos += b.size
-    return sn.NetworkParams(ws, bs)
+from cawave.errors import CorruptFileError, FormatVersionError, StateInvariantError
 
 
 def test_architecture():
@@ -80,17 +66,14 @@ def test_gradient_matches_finite_differences():
             rng.uniform(-1.0, 1.0, 4),
         ]
     )
-    theta = flatten(params)
     _, grads = sn.backward(params, batch)
-    g_flat = flatten(sn.NetworkParams(list(grads[0]), list(grads[1])))
+    g_flat = grads.theta
     step = 1e-6
-    for c in rng.choice(theta.size, size=160, replace=False):
-        tp, tm = theta.copy(), theta.copy()
-        tp[c] += step
-        tm[c] -= step
-        fd = (sn.loss(unflatten(params, tp), batch) - sn.loss(unflatten(params, tm), batch)) / (
-            2 * step
-        )
+    for c in rng.choice(sn.PARAMETER_COUNT, size=160, replace=False):
+        plus, minus = params.copy(), params.copy()
+        plus.theta[c] += step
+        minus.theta[c] -= step
+        fd = (sn.loss(plus, batch) - sn.loss(minus, batch)) / (2 * step)
         denom = max(abs(fd), abs(g_flat[c]), 1e-8)
         assert abs(fd - g_flat[c]) / denom <= 1e-5
 
@@ -116,8 +99,8 @@ def test_dead_relu_path_is_exactly_flat():
     bumped.weights[0][dead_units[0], :] += 1e-9  # small enough to keep z < 0
     assert sn.loss(bumped, batch) == base
     _, grads = sn.backward(params, batch)
-    assert np.all(grads[0][0][dead_units, :] == 0.0)
-    assert np.all(grads[1][0][dead_units] == 0.0)
+    assert np.all(grads.weights[0][dead_units, :] == 0.0)
+    assert np.all(grads.biases[0][dead_units] == 0.0)
 
 
 def test_first_adam_step_magnitude():
@@ -126,16 +109,18 @@ def test_first_adam_step_magnitude():
     batch = np.array([[0.2, 3.0, 1.0, 0.4], [0.8, 0.5, -2.0, -0.3]])
     _, grads = sn.backward(params, batch)
     state = sn.init_adam(learning_rate=1e-3)
+    before = params.theta.copy()  # the step updates theta in place
     new_params, new_state = sn.adam_step(params, grads, state)
+    assert new_params is params and new_state is state
     assert new_state.step == 1
-    delta = np.abs(flatten(new_params) - flatten(params))
-    g = np.abs(flatten(sn.NetworkParams(list(grads[0]), list(grads[1]))))
+    delta = np.abs(new_params.theta - before)
+    g = np.abs(grads.theta)
     strong = g > 1e-4  # far above the epsilon floor
     assert strong.any()
     assert_allclose(delta[strong], 1e-3, rtol=1e-3)
     assert delta.max() <= 1e-3 * (1 + 1e-6)
-    # inputs must not be mutated
-    assert np.all(flatten(params) == flatten(sn.init_network(seed=1)))
+    # the gradient is only read
+    assert np.array_equal(grads.theta, sn.backward(sn.init_network(seed=1), batch)[1].theta)
 
 
 def test_adam_validation():
@@ -190,6 +175,183 @@ def test_normalized_training_returns_raw_input_network():
     )
     # the folded network consumes raw inputs and still fits the raw targets
     assert sn.loss(params, samples) < hist.train[0] / 10.0
+
+
+def reference_train(samples, epochs, batch_size, validation_fraction, seed, normalize_inputs):
+    """The list-based trainer: allocating forward/backward and per-layer Adam.
+
+    Same data order, split, initialization and operation order as sn.train,
+    with every intermediate a fresh array and a one-pass validation loss.
+    """
+    rng = np.random.default_rng(seed)
+    init = sn.init_network(seed)
+    layers = [w.copy() for w in init.weights] + [b.copy() for b in init.biases]
+    moments = [[np.zeros_like(a) for a in layers] for _ in range(2)]
+    nl = len(init.weights)
+    train_idx, val_idx = sn.validation_split(samples.shape[0], validation_fraction, rng)
+    train_set, val_set = samples[train_idx], samples[val_idx]
+    mu, sigma = np.zeros(3), np.ones(3)
+    if normalize_inputs:
+        mu = train_set[:, :3].mean(axis=0)
+        sigma = train_set[:, :3].std(axis=0)
+        sigma[sigma == 0.0] = 1.0
+        train_set, val_set = train_set.copy(), val_set.copy()
+        train_set[:, :3] = (train_set[:, :3] - mu) / sigma
+        val_set[:, :3] = (val_set[:, :3] - mu) / sigma
+
+    def forward(x):
+        ws, bs = layers[:nl], layers[nl:]
+        acts, pre, a = [x], [], x
+        for w, b in zip(ws[:-1], bs[:-1]):
+            z = a @ w.T + b
+            pre.append(z)
+            a = np.maximum(z, 0.0)
+            acts.append(a)
+        return (a @ ws[-1].T + bs[-1])[:, 0], acts, pre
+
+    b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
+    step = 0
+    train_hist, val_hist = [], []
+    for _ in range(epochs):
+        order = rng.permutation(train_set.shape[0])
+        loss_sum = 0.0
+        for start in range(0, train_set.shape[0], batch_size):
+            batch = train_set[order[start : start + batch_size]]
+            out, acts, pre = forward(batch[:, :3])
+            err = out - batch[:, 3]
+            loss_sum += float(np.mean(err * err)) * batch.shape[0]
+            gw, gb = [None] * nl, [None] * nl
+            delta = (2.0 / batch.shape[0]) * err[:, None]
+            gw[-1], gb[-1] = delta.T @ acts[-1], delta.sum(axis=0)
+            for layer in range(nl - 2, -1, -1):
+                delta = (delta @ layers[layer + 1]) * (pre[layer] > 0.0)
+                gw[layer], gb[layer] = delta.T @ acts[layer], delta.sum(axis=0)
+            step += 1
+            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+            for i, g in enumerate(gw + gb):
+                m = b1 * moments[0][i] + (1 - b1) * g
+                v = b2 * moments[1][i] + (1 - b2) * g * g
+                layers[i] = layers[i] - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+                moments[0][i], moments[1][i] = m, v
+        train_hist.append(loss_sum / train_set.shape[0])
+        err = forward(val_set[:, :3])[0] - val_set[:, 3]
+        val_hist.append(float(np.mean(err * err)))
+    if normalize_inputs:
+        w0 = layers[0]
+        layers[0] = w0 / sigma[None, :]
+        layers[nl] = layers[nl] - w0 @ (mu / sigma)
+    return layers, np.array(train_hist), np.array(val_hist)
+
+
+@pytest.mark.parametrize("normalize_inputs", [False, True])
+def test_training_matches_list_based_reference_bit_for_bit(normalize_inputs):
+    # 1800 training rows in batches of 256 leave a partial batch of 8, and
+    # the 1200 validation rows span two forward blocks
+    rng = np.random.default_rng(14)
+    x = np.column_stack(
+        [rng.uniform(0, 1, 3000), rng.uniform(0, 10, 3000), rng.uniform(-40, 40, 3000)]
+    )
+    samples = np.column_stack([x, 0.05 * x[:, 1] - 0.01 * x[:, 2] + 0.1 * np.sin(6 * x[:, 0])])
+    assert 1200 > sn.FORWARD_BLOCK_ROWS
+    params, hist = sn.train(
+        samples, epochs=3, batch_size=256, validation_fraction=0.4, seed=6,
+        normalize_inputs=normalize_inputs,
+    )
+    layers, train_hist, val_hist = reference_train(samples, 3, 256, 0.4, 6, normalize_inputs)
+    for got, want in zip(params.weights + params.biases, layers):
+        assert np.array_equal(got, want)
+    assert np.array_equal(hist.train, train_hist)
+    assert np.array_equal(hist.validation, val_hist)
+
+
+def test_training_leaves_caller_params_and_optimizer_unchanged():
+    rng = np.random.default_rng(15)
+    samples = np.column_stack([rng.uniform(0, 1, (200, 3)), rng.uniform(-0.5, 0.5, 200)])
+    params = sn.init_network(seed=15)
+    adam = sn.init_adam()
+    _, grads = sn.backward(params.copy(), samples)
+    sn.adam_step(params.copy(), grads, adam)  # nonzero moments, step 1
+    theta, m, v = params.theta.copy(), adam.m.copy(), adam.v.copy()
+    trained, _ = sn.train(samples, epochs=2, batch_size=64, seed=15, params=params, adam=adam)
+    assert trained is not params
+    assert np.array_equal(params.theta, theta)
+    assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v) and adam.step == 1
+
+
+def test_forward_blocks_equal_per_block_results():
+    params = sn.init_network(seed=16)
+    block = sn.FORWARD_BLOCK_ROWS
+    xs = np.random.default_rng(16).uniform(-2, 2, (2 * block + 37, 3))
+    whole = sn.forward(params, xs)
+    parts = [sn.forward(params, xs[i : i + block]) for i in range(0, xs.shape[0], block)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_parameter_views_share_one_vector():
+    params = sn.init_network(seed=17)
+    assert params.theta.shape == (sn.PARAMETER_COUNT,)
+    expected = np.concatenate([a.ravel() for p in zip(params.weights, params.biases) for a in p])
+    assert np.array_equal(params.theta, expected)
+    params.biases[-1][:] = 2.5
+    assert params.theta[-1] == 2.5
+    params.theta[0] = -1.0
+    assert params.weights[0][0, 0] == -1.0
+    copied = params.copy()
+    copied.theta[0] = 3.0
+    assert params.theta[0] == -1.0
+
+
+def test_non_finite_parameters_are_rejected_on_construction(tmp_path):
+    params = sn.init_network(seed=18)
+    weights = [w.copy() for w in params.weights]
+    weights[1][3, 4] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        sn.NetworkParams(weights, params.biases)
+    # a checksummed file holding a NaN parameter still fails to load
+    bad = params.copy()
+    bad.biases[2][0] = np.nan
+    sn.save_weights(tmp_path / "nan.cwnn", bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        sn.load_weights(tmp_path / "nan.cwnn")
+
+
+def _inf_gradient_backward(monkeypatch):
+    """Patch backward so the loss stays finite and one gradient entry is inf."""
+    real = sn.backward
+
+    def backward(params, batch, workspace=None):
+        batch_loss, grads = real(params, batch, workspace)
+        grads.theta[7] = np.inf
+        return batch_loss, grads
+
+    monkeypatch.setattr(sn, "backward", backward)
+
+
+def test_non_finite_adam_update_is_a_floating_point_error(monkeypatch, tmp_path, capsys):
+    _inf_gradient_backward(monkeypatch)
+    rng = np.random.default_rng(19)
+    samples = np.column_stack([rng.uniform(0, 1, (100, 3)), rng.uniform(-0.5, 0.5, 100)])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite network parameter"):
+            sn.train(samples, epochs=1, batch_size=32, seed=19)
+        data = tmp_path / "samples.cwds"
+        datasets.save_samples(data, samples)
+        argv = ["train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 3
+    assert "numeric failure: non-finite network parameter" in capsys.readouterr().err
+
+
+def test_non_finite_surrogate_rate_is_a_state_error(monkeypatch, tmp_path, capsys):
+    params = sn.init_network(seed=0)
+    monkeypatch.setattr(sn, "forward", lambda params, x: float("nan"))
+    with pytest.raises(StateInvariantError, match="surrogate rate"):
+        sn.predict_next_probability(params, 0.5, 1.0, 0.0, 0.0125)
+    weights = tmp_path / "w.cwnn"
+    sn.save_weights(weights, params)
+    argv = ["simulate", "--preset", "example1-reduced", "--channel", "surrogate",
+            "--weights", str(weights), "--dt", "0.0125", "--t-end", "0.1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert "numeric failure: surrogate rate dP/dt is non-finite" in capsys.readouterr().err
 
 
 def test_predict_next_probability_clips_and_validates():
