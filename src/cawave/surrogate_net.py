@@ -121,14 +121,17 @@ def init_network(seed: int = 0) -> NetworkParams:
     return NetworkParams(weights, biases)
 
 
-def _forward_into(params: NetworkParams, x: np.ndarray, acts: list) -> np.ndarray:
-    """Forward pass of x (n, 3) into the first n rows of acts; returns the outputs (n,)."""
+def _forward_pass(params: NetworkParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Forward pass of x (n, 3); returns the outputs (n,).
+
+    Each layer's activations go into the first n rows of acts[layer], or into
+    one new array per layer when acts is None.
+    """
     n = x.shape[0]
     a = x
     last = len(params.weights) - 1
-    for layer, (w, b, buf) in enumerate(zip(params.weights, params.biases, acts)):
-        z = buf[:n]
-        np.matmul(a, w.T, out=z)
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = np.matmul(a, w.T, out=None if acts is None else acts[layer][:n])
         z += b
         if layer < last:
             np.maximum(z, 0.0, out=z)
@@ -136,20 +139,13 @@ def _forward_into(params: NetworkParams, x: np.ndarray, acts: list) -> np.ndarra
     return a[:, 0]
 
 
-def _forward_rows(params: NetworkParams, a: np.ndarray) -> np.ndarray:
-    """Outputs (n,) for inputs a (n, 3), allocating each layer's activations."""
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = a @ w.T + b
-        np.maximum(a, 0.0, out=a)
-    return (a @ params.weights[-1].T + params.biases[-1])[:, 0]
-
-
 def forward(params: NetworkParams, x: np.ndarray):
     """Network output for a single input (3,) or a batch (N, 3).
 
-    A batch of more than FORWARD_BLOCK_ROWS rows is evaluated block by block,
-    through one set of block-sized activation buffers, into one output
-    vector; each row's arithmetic is the same either way.
+    Up to FORWARD_BLOCK_ROWS rows take one new array per layer; a larger
+    batch is evaluated block by block, through one set of block-sized
+    activation buffers, into one output vector.  Each row's arithmetic is the
+    same either way.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -157,14 +153,13 @@ def forward(params: NetworkParams, x: np.ndarray):
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
     if a.shape[0] <= FORWARD_BLOCK_ROWS:
-        # per-step single inputs take this path; buffers would only add calls
-        out = _forward_rows(params, a)
+        out = _forward_pass(params, a)
         return float(out[0]) if single else out
     acts = [np.empty((FORWARD_BLOCK_ROWS, k)) for k in LAYER_SIZES[1:]]
     out = np.empty(a.shape[0])
     for start in range(0, a.shape[0], FORWARD_BLOCK_ROWS):
         stop = start + FORWARD_BLOCK_ROWS
-        out[start:stop] = _forward_into(params, a[start:stop], acts)
+        out[start:stop] = _forward_pass(params, a[start:stop], acts)
     return out
 
 
@@ -198,7 +193,7 @@ def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | N
     n = batch.shape[0]
     work = workspace if workspace is not None else _Workspace(n)
     x = batch[:, :3]
-    out = _forward_into(params, x, work.acts)
+    out = _forward_pass(params, x, work.acts)
     err = out - batch[:, 3]
     batch_loss = float(np.mean(err * err))
 
