@@ -274,10 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:

@@ -81,7 +81,6 @@ SCHEMA = {
     },
     "output": {
         "observer_stride": (int, 1),
-        "snapshot_stride": (int, 0),
     },
 }
 
@@ -201,7 +200,6 @@ class RunConfig:
             t_end=t["t_end"],
             initial_markov_state=self.markov_state(),
             observer_stride=o["observer_stride"],
-            snapshot_stride=o["snapshot_stride"],
         )
         kwargs.update(overrides)
         cfg = hybrid_solver.SimConfig(**kwargs)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import container
 from .errors import CorruptFileError
-from .ryr_markov import FULLY_CLOSED_STATE, MarkovRates, MarkovState
+from .ryr_markov import FULLY_CLOSED_STATE, MarkovRates, MarkovState, backward_euler_update
 
 BASELINE = 0.05  # uM, resting calcium of every generated pulse
 SIGNAL_DT = 0.05  # s, sampling step of the ODE corpus
@@ -122,26 +122,6 @@ def grid_signals():
     return pairs
 
 
-def _markov_bands(u, rates):
-    """Batched M(u), k(u) for a vector of concentrations; shapes (K,3,3), (K,3)."""
-    ra = u**4 * rates.ka_plus
-    rb = u**3 * rates.kb_plus
-    k1 = np.full(u.shape, rates.ka_minus)
-    k3 = np.full(u.shape, rates.kc_plus)
-    m = np.empty(u.shape + (3, 3))
-    m[:, 0, 0] = -ra - rates.ka_minus
-    m[:, 0, 1] = -rates.ka_minus
-    m[:, 0, 2] = -rates.ka_minus
-    m[:, 1, 0] = -rb
-    m[:, 1, 1] = -rb - rates.kb_minus
-    m[:, 1, 2] = -rb
-    m[:, 2, 0] = -rates.kc_plus
-    m[:, 2, 1] = -rates.kc_plus
-    m[:, 2, 2] = -rates.kc_plus - rates.kc_minus
-    k = np.stack([k1, rb, k3], axis=1)
-    return m, k
-
-
 def label_signals(
     u_block: np.ndarray,
     dt: float,
@@ -150,21 +130,18 @@ def label_signals(
 ) -> np.ndarray:
     """Open probability for a block of signals (K, T), integrated in lockstep.
 
-    Same backward-Euler recursion as ryr_markov.step_backward_euler, batched
-    over the signal axis.
+    Each step runs ryr_markov.backward_euler_update on (K,) occupancy arrays,
+    the lines step_backward_euler runs on floats, so row k equals
+    ryr_markov.integrate_series(u_block[k], dt, state0, rates) bit for bit.
     """
     u_block = np.asarray(u_block, dtype=float)
     k_sig, n_t = u_block.shape
-    states = np.tile(state0.as_array(), (k_sig, 1))
+    c1, o, c2 = (np.full(k_sig, v) for v in (state0.c1, state0.o, state0.c2))
     p = np.empty((k_sig, n_t))
-    p[:, 0] = 1.0 - states[:, 0] - states[:, 2]
-    eye = np.eye(3)
+    p[:, 0] = 1.0 - c1 - c2
     for n in range(1, n_t):
-        m, k = _markov_bands(u_block[:, n], rates)
-        a = eye[None, :, :] - dt * m
-        # trailing axis keeps the rhs a stack of vectors, not one (K, 3) matrix
-        states = np.linalg.solve(a, (states + dt * k)[:, :, None])[:, :, 0]
-        p[:, n] = 1.0 - states[:, 0] - states[:, 2]
+        c1, o, c2 = backward_euler_update(c1, o, c2, u_block[:, n], dt, rates)
+        p[:, n] = 1.0 - c1 - c2
     if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
         raise FloatingPointError("gating labels left the probability simplex")
     return np.clip(p, 0.0, 1.0)

@@ -107,12 +107,6 @@ class BandedMatrix:
         dense[np.arange(1, n), np.arange(n - 1)] = self.lower
         return dense
 
-    def row_sums(self) -> np.ndarray:
-        s = self.diag.copy()
-        s[:-1] += self.upper
-        s[1:] += self.lower
-        return s
-
 
 def _empty_bands(n: int):
     return np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
@@ -217,11 +211,3 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if info != 0:
         raise SingularMatrixError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
     return x
-
-
-def solve_banded(matrix: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (matrix.dim,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({matrix.dim},)")
-    return solve_tridiagonal(matrix.lower, matrix.diag, matrix.upper, rhs)

@@ -111,7 +111,6 @@ class SimConfig:
     initial_probability: float | None = None  # surrogate start; defaults to the
     # open probability of initial_markov_state
     observer_stride: int = 1
-    snapshot_stride: int = 0  # 0 disables field snapshots
 
     def validate(self) -> None:
         if not 0.0 < self.er_radius < self.cell_radius:
@@ -130,8 +129,6 @@ class SimConfig:
             raise ConfigError("initial concentrations out of range")
         if self.observer_stride < 1:
             raise ConfigError("observer_stride must be >= 1")
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride must be >= 0")
 
 
 class ZeroChannel:
@@ -472,7 +469,6 @@ class SimOutput:
     peak_u_anywhere: float
     wave_duration: float
     final_state: SimState
-    snapshots: list
 
 
 def _longest_run(mask: np.ndarray, dt: float) -> float:
@@ -502,10 +498,7 @@ def run_simulation(cfg: SimConfig, initial_state: SimState | None = None) -> Sim
     u_l = [float(state.u[0])]
     ue_l = [float(state.ue[-1])]
     p_series = [float(state.probability)]
-    snapshots = []
     peak_anywhere = float(state.u.max())
-    if cfg.snapshot_stride:
-        snapshots.append((state.t, state.u.copy(), state.b.copy(), state.ue.copy()))
 
     for n in range(1, n_steps + 1):
         state = step_imex(state, cfg, sys_)
@@ -516,8 +509,6 @@ def run_simulation(cfg: SimConfig, initial_state: SimState | None = None) -> Sim
             u_l.append(float(state.u[0]))
             ue_l.append(float(state.ue[-1]))
             p_series.append(float(state.probability))
-        if cfg.snapshot_stride and (n % cfg.snapshot_stride == 0 or n == n_steps):
-            snapshots.append((state.t, state.u.copy(), state.b.copy(), state.ue.copy()))
 
     times = np.asarray(times)
     u_l_arr = np.asarray(u_l)
@@ -533,7 +524,6 @@ def run_simulation(cfg: SimConfig, initial_state: SimState | None = None) -> Sim
         peak_anywhere,
         _longest_run(u_l_arr > 2.0 * cfg.u_init, cfg.dt * stride),
         state,
-        snapshots,
     )
 
 

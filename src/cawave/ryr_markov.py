@@ -1,16 +1,20 @@
 """Four-state Keizer-type gating model for the ryanodine receptor.
 
-Three state fractions (c1, o, c2) are tracked explicitly; the fourth follows
-from conservation, and the open probability is P = 1 - c1 - c2 (both open
-states of the chain contribute).  Eliminating the fourth state turns the
-master equation into the affine linear system
+Three state fractions (c1, o, c2) are tracked; the fourth, the second open
+state o2 = 1 - c1 - o - c2, follows from conservation, and the open
+probability is P = o + o2 = 1 - c1 - c2.  The chain is a star, each tracked
+state exchanging only with o2:
 
-    d/dt (c1, o, c2)^T = M(u) (c1, o, c2)^T + k(u),
+    dx_i/dt = alpha_i o2 - eps_i x_i,
+    alpha = (ka_minus, u^3 kb_plus, kc_plus),  eps = (u^4 ka_plus, kb_minus, kc_minus),
 
-with calcium-dependent activation rates u^4*ka_plus and u^3*kb_plus.  The
-underlying four-state chain has a proper Markov generator, so backward Euler
-preserves the probability simplex exactly (up to roundoff); violations beyond
-1e-9 indicate a genuine bug and abort instead of being renormalized.
+which is the affine system d/dt (c1, o, c2)^T = M(u) (c1, o, c2)^T + k(u).
+A backward-Euler step is therefore a diagonal system plus a rank-one coupling
+through o2.  backward_euler_update solves it in closed form (Sherman-Morrison)
+with no pivoting and a denominator of at least 1, for the scalar stepper and
+the batched corpus labeller (datasets.label_signals) alike.  Simplex
+violations beyond 1e-9 indicate a genuine bug and abort instead of being
+renormalized.
 """
 
 from __future__ import annotations
@@ -76,58 +80,37 @@ def open_probability(state: MarkovState) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _generator(u: float, rates: MarkovRates):
-    """Rows of M(u) and the entries of k(u) as plain floats."""
-    if u < 0:
-        raise ValueError(f"negative calcium concentration: {u}")
-    ra = u**4 * rates.ka_plus
-    rb = u**3 * rates.kb_plus
-    m = (
-        (-ra - rates.ka_minus, -rates.ka_minus, -rates.ka_minus),
-        (-rb, -rb - rates.kb_minus, -rb),
-        (-rates.kc_plus, -rates.kc_plus, -rates.kc_plus - rates.kc_minus),
-    )
-    return m, (rates.ka_minus, rb, rates.kc_plus)
+def _star_rates(u, rates: MarkovRates):
+    """Rates alpha (o2 -> c1, o, c2) and eps (c1, o, c2 -> o2); u may be an array."""
+    u3 = u * u * u
+    alpha = (rates.ka_minus, u3 * rates.kb_plus, rates.kc_plus)
+    eps = (u3 * u * rates.ka_plus, rates.kb_minus, rates.kc_minus)
+    return alpha, eps
 
 
 def system_matrix(u: float, rates: MarkovRates = MarkovRates()):
-    """Matrix M(u) and constant vector k(u) of the reduced master equation."""
-    m, k = _generator(u, rates)
-    return np.array(m), np.array(k)
+    """Dense M(u) = -alpha 1^T - diag(eps) and k(u) = alpha of the reduced master equation."""
+    if u < 0:
+        raise ValueError(f"negative calcium concentration: {u}")
+    alpha, eps = (np.array(v) for v in _star_rates(u, rates))
+    return -np.outer(alpha, np.ones(3)) - np.diag(eps), alpha
 
 
-def _solve3(a, b):
-    """Gaussian elimination with full pivoting on a 3x3 system (plain floats)."""
-    a = [list(map(float, row)) for row in a]
-    b = [float(v) for v in b]
-    idx = [0, 1, 2]  # column permutation
-    for step in range(3):
-        piv_r, piv_c, piv_v = step, step, 0.0
-        for r in range(step, 3):
-            for c in range(step, 3):
-                if abs(a[r][c]) > piv_v:
-                    piv_r, piv_c, piv_v = r, c, abs(a[r][c])
-        if piv_v == 0.0:
-            raise SingularMatrixError("singular 3x3 gating system")
-        if piv_r != step:
-            a[step], a[piv_r] = a[piv_r], a[step]
-            b[step], b[piv_r] = b[piv_r], b[step]
-        if piv_c != step:
-            for row in a:
-                row[step], row[piv_c] = row[piv_c], row[step]
-            idx[step], idx[piv_c] = idx[piv_c], idx[step]
-        for r in range(step + 1, 3):
-            f = a[r][step] / a[step][step]
-            if f != 0.0:
-                for c in range(step, 3):
-                    a[r][c] -= f * a[step][c]
-                b[r] -= f * b[step]
-    y2 = b[2] / a[2][2]
-    y1 = (b[1] - a[1][2] * y2) / a[1][1]
-    y0 = (b[0] - a[0][1] * y1 - a[0][2] * y2) / a[0][0]
-    x = [0.0, 0.0, 0.0]
-    x[idx[0]], x[idx[1]], x[idx[2]] = y0, y1, y2
-    return x
+def backward_euler_update(c1, o, c2, u, dt, rates: MarkovRates):
+    """(c1, o, c2) after one backward-Euler step at calcium u, in closed form.
+
+    Row i of (I - dt M) x = x^n + dt k reads d_i x_i = x_i^n + a_i o2 with
+    a = dt alpha and d = 1 + dt eps; dividing by d_i and summing gives o2.
+    Only + - * / appear, so floats and (K,) arrays get the same bits.
+    """
+    (al0, al1, al2), (ep0, ep1, ep2) = _star_rates(u, rates)
+    a0, a1, a2 = dt * al0, dt * al1, dt * al2
+    e0, e1, e2 = dt * ep0, dt * ep1, dt * ep2
+    d0, d1, d2 = 1.0 + e0, 1.0 + e1, 1.0 + e2
+    o2 = ((1.0 - c1 - o - c2) + c1 * e0 / d0 + o * e1 / d1 + c2 * e2 / d2) / (
+        1.0 + a0 / d0 + a1 / d1 + a2 / d2
+    )
+    return (c1 + a0 * o2) / d0, (o + a1 * o2) / d1, (c2 + a2 * o2) / d2
 
 
 def step_backward_euler(
@@ -139,23 +122,25 @@ def step_backward_euler(
     """One implicit Euler step: solve (I - dt M(u_next)) x = state + dt k(u_next)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    # plain floats, same operations as np.eye(3) - dt * M and state + dt * k
-    ((m00, m01, m02), (m10, m11, m12), (m20, m21, m22)), (k0, k1, k2) = _generator(u_next, rates)
-    a = (
-        (1.0 - dt * m00, -(dt * m01), -(dt * m02)),
-        (-(dt * m10), 1.0 - dt * m11, -(dt * m12)),
-        (-(dt * m20), -(dt * m21), 1.0 - dt * m22),
-    )
-    rhs = (state.c1 + dt * k0, state.o + dt * k1, state.c2 + dt * k2)
-    x = _solve3(a, rhs)
-    return MarkovState(x[0], x[1], x[2])
+    if u_next < 0:
+        raise ValueError(f"negative calcium concentration: {u_next}")
+    return MarkovState(*backward_euler_update(state.c1, state.o, state.c2, u_next, dt, rates))
 
 
 def steady_state(u: float, rates: MarkovRates = MarkovRates()) -> MarkovState:
-    """Equilibrium occupancies at clamped calcium: solve M(u) x = -k(u)."""
-    m, k = system_matrix(u, rates)
-    x = _solve3(m, -k)
-    return MarkovState(x[0], x[1], x[2])
+    """Equilibrium occupancies at clamped calcium, the solution of M(u) x = -k(u).
+
+    eps_i x_i = alpha_i o2 for each tracked state (the matrix-tree weights);
+    the weights sum to det(-M(u)), so a zero sum means M(u) is singular.
+    """
+    if u < 0:
+        raise ValueError(f"negative calcium concentration: {u}")
+    (al0, al1, al2), (ep0, ep1, ep2) = _star_rates(u, rates)
+    w0, w1, w2 = al0 * ep1 * ep2, al1 * ep0 * ep2, al2 * ep0 * ep1
+    total = w0 + w1 + w2 + ep0 * ep1 * ep2
+    if total == 0.0:
+        raise SingularMatrixError("singular 3x3 gating system")
+    return MarkovState(w0 / total, w1 / total, w2 / total)
 
 
 def integrate_series(

@@ -88,9 +88,6 @@ class NetworkParams:
             self.biases.append(theta[pos : pos + fan_out])
             pos += fan_out
 
-    def parameter_count(self) -> int:
-        return self.theta.size
-
     def copy(self) -> "NetworkParams":
         return NetworkParams._wrap(self.theta.copy())
 
@@ -299,18 +296,14 @@ def train(
     validation_fraction: float = 0.10,
     seed: int = 0,
     adam: AdamState | None = None,
-    normalize_inputs: bool = False,
     params: NetworkParams | None = None,
 ):
     """Minibatch Adam training; returns (params, LossHistory).
 
     The epoch training loss is the sample-weighted mean of minibatch losses
     (each evaluated before its update); the validation loss is a full pass at
-    the end of the epoch over the held-out trailing split.  With
-    normalize_inputs the inputs are standardized with training-split moments
-    and the affine map is folded back into the first layer afterwards, so the
-    returned network always consumes raw (P, u, du/dt).  The updates run in
-    place on copies, so the params and adam passed in are left unchanged.
+    the end of the epoch over the held-out trailing split.  The updates run
+    in place on copies, so the params and adam passed in are left unchanged.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -331,18 +324,6 @@ def train(
     train_set = samples[train_idx]
     val_set = samples[val_idx]
 
-    mu = np.zeros(3)
-    sigma = np.ones(3)
-    if normalize_inputs:
-        mu = train_set[:, :3].mean(axis=0)
-        sigma = train_set[:, :3].std(axis=0)
-        sigma[sigma == 0.0] = 1.0
-        train_set = train_set.copy()
-        train_set[:, :3] = (train_set[:, :3] - mu) / sigma
-        if val_set.size:
-            val_set = val_set.copy()
-            val_set[:, :3] = (val_set[:, :3] - mu) / sigma
-
     n_train = train_set.shape[0]
     work = _Workspace(min(batch_size, n_train))
     train_hist = np.empty(epochs)
@@ -360,11 +341,6 @@ def train(
             loss_sum += batch_loss * batch.shape[0]
         train_hist[epoch] = loss_sum / n_train
         val_hist[epoch] = loss(params, val_set) if val_set.size else np.nan
-
-    if normalize_inputs:
-        w1 = params.weights[0] / sigma[None, :]
-        b1 = params.biases[0] - params.weights[0] @ (mu / sigma)
-        params = NetworkParams([w1] + params.weights[1:], [b1] + params.biases[1:])
     return params, LossHistory(train_hist, val_hist)
 
 

@@ -212,6 +212,14 @@ def test_unknown_config_key_is_named(tmp_path):
     assert "sera_k" in r.stderr
 
 
+def test_snapshot_stride_is_no_longer_a_key(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[output]\nsnapshot_stride = 5\n")
+    r = run_cli("steady", "--config", str(cfg), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "snapshot_stride" in r.stderr
+
+
 def test_unknown_config_section(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[channles]\nryr_scale = 0.8\n")

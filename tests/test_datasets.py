@@ -63,7 +63,7 @@ def test_batched_labels_match_scalar_stepper():
         for n in range(1, sigs.shape[1]):
             state = rm.step_backward_euler(state, float(sigs[i, n]), ds.SIGNAL_DT)
             expected.append(rm.open_probability(state))
-        assert_allclose(p_block[i], expected, atol=1e-12)
+        assert np.array_equal(p_block[i], expected)
 
 
 def test_ode_dataset_layout():

@@ -95,7 +95,7 @@ def test_mass_matrix_blocks():
     )
     assert_allclose(mass, expected, atol=1e-15)
     # partition of unity: row sums are the hat integrals h (h/2 at the ends)
-    sums = fem_core.assemble_mass(fem_core.build_mesh(1.5, math.pi, 7)).row_sums()
+    sums = fem_core.assemble_mass(fem_core.build_mesh(1.5, math.pi, 7)).matvec(np.ones(8))
     h = (math.pi - 1.5) / 7
     assert_allclose(sums[1:-1], h, rtol=1e-14)
     assert_allclose(sums[[0, -1]], h / 2, rtol=1e-14)
@@ -108,7 +108,7 @@ def test_stiffness_matrix_blocks():
     assert_allclose(np.diag(dense), [2, 4, 4, 4, 2], atol=0)
     assert_allclose(np.diag(dense, 1), [-2, -2, -2, -2], atol=0)
     # constants are in the nullspace, so rows sum to zero exactly
-    assert np.all(stiff.row_sums() == 0.0)
+    assert np.all(stiff.matvec(np.ones(5)) == 0.0)
 
 
 def test_mass_integrates_linear_functions_exactly():
@@ -167,7 +167,7 @@ def test_convection_regular_entries_match_quadrature():
 def test_convection_rows_sum_to_zero():
     # phi_j' of a partition of unity sums to zero pointwise, exactly in fp too
     for mesh in (fem_core.build_mesh(0.0, 1.5, 40), fem_core.build_mesh(1.5, math.pi, 40)):
-        assert np.all(fem_core.assemble_convection(mesh).row_sums() == 0.0)
+        assert np.all(fem_core.assemble_convection(mesh).matvec(np.ones(41)) == 0.0)
 
 
 def test_convection_scaling_law():
@@ -185,7 +185,7 @@ def test_solve_banded_against_dense():
         diag = rng.uniform(4, 5, n)  # diagonally dominant
         mat = fem_core.BandedMatrix(lower, diag, upper)
         rhs = rng.uniform(-2, 2, n)
-        x = fem_core.solve_banded(mat, rhs)
+        x = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
         assert_allclose(x, np.linalg.solve(mat.to_dense(), rhs), rtol=1e-12, atol=1e-14)
         assert_allclose(mat.matvec(x), rhs, rtol=1e-11, atol=1e-13)
 
@@ -195,24 +195,16 @@ def test_solver_pivot_fallback():
     # the first two rows instead of dividing by zero
     mat = fem_core.BandedMatrix(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
     rhs = np.array([1.0, 2.0, 3.0])
-    x = fem_core.solve_banded(mat, rhs)
+    x = fem_core.solve_tridiagonal(mat.lower, mat.diag, mat.upper, rhs)
     assert_allclose(mat.to_dense() @ x, rhs, atol=1e-12)
 
 
 def test_solver_rejects_singular():
     with pytest.raises(SingularMatrixError):
-        fem_core.solve_banded(
-            fem_core.BandedMatrix(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0])),
-            np.array([1.0, 0.0]),
-        )
+        fem_core.solve_tridiagonal(np.ones(1), np.ones(2), np.ones(1), np.array([1.0, 0.0]))
     with pytest.raises(SingularMatrixError):
         fem_core.solve_tridiagonal(np.zeros(1), np.zeros(2), np.zeros(1), np.zeros(2))
 
-
-def test_solve_banded_shape_check():
-    mat = fem_core.BandedMatrix(np.array([1.0]), np.array([2.0, 2.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        fem_core.solve_banded(mat, np.zeros(3))
 
 
 def test_matvec_matches_dense():

@@ -201,16 +201,6 @@ def test_output_bookkeeping():
     assert out.u_r.shape == out.times.shape
 
 
-def test_snapshots_follow_stride():
-    cfg = hs.preset_config("example1", dt=0.01, t_end=0.1, snapshot_stride=5)
-    out = hs.run_simulation(cfg)
-    times = [t for t, *_ in out.snapshots]
-    assert times == pytest.approx([0.0, 0.05, 0.1], abs=1e-12)
-    t0, u0, b0, ue0 = out.snapshots[0]
-    assert u0.shape == (cfg.cyto_elements + 1,)
-    assert ue0.shape == (cfg.er_elements + 1,)
-
-
 def test_csv_round_trip_and_determinism(tmp_path):
     cfg = hs.preset_config("example1", dt=0.01, t_end=0.3)
     out1 = hs.run_simulation(cfg)

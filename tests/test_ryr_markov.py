@@ -1,11 +1,14 @@
 """Gating-chain fixed points, integrator order, and simplex preservation.
 
-The steady state at any calcium level has a direct 3x3 solve as its oracle;
+The closed-form steady state must solve M(u) x = -k(u) against the dense
+system_matrix, and a singular M(u) must surface as a numeric failure;
 backward Euler must reach the same point from any start because the affine
 system's fixed point is dt-independent.  Integrator order is measured against
 a fine classical Runge-Kutta reference.  Over random rates, calcium levels,
 step sizes and starting states, one backward-Euler step must stay in the
-probability simplex and solve its linear system to roundoff.
+probability simplex and solve its dense linear system to roundoff, and the
+closed-form kernel run on a block of states must give the scalar stepper's
+bits.
 """
 
 import numpy as np
@@ -14,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cawave import cli
 from cawave import ryr_markov as rm
-from cawave.errors import StateInvariantError
+from cawave.errors import SingularMatrixError, StateInvariantError
 
 
 def rk4_reference(state, u, t_end, n_steps, rates=rm.MarkovRates()):
@@ -178,3 +182,43 @@ def test_backward_euler_step_properties(rates, u, dt, state):
     residual = np.max(np.abs(a @ x - b))
     scale = np.max(np.abs(a)) * np.max(np.abs(x)) + np.max(np.abs(b))
     assert residual <= 1e-12 * scale
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    rates=RATES,
+    dt=st.floats(1e-6, 1.0),
+    block=st.lists(st.tuples(st.floats(0.0, 30.0), SIMPLEX_STATES), min_size=1, max_size=8),
+)
+def test_kernel_on_a_block_equals_scalar_steps_bit_for_bit(rates, dt, block):
+    u = np.array([v for v, _ in block])
+    c1, o, c2 = (np.array([getattr(s, name) for _, s in block]) for name in ("c1", "o", "c2"))
+    got = rm.backward_euler_update(c1, o, c2, u, dt, rates)
+    for k, (u_k, state) in enumerate(block):
+        want = rm.step_backward_euler(state, u_k, dt, rates)
+        assert (got[0][k], got[1][k], got[2][k]) == (want.c1, want.o, want.c2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(rates=RATES, u=st.floats(0.0, 30.0))
+def test_steady_state_solves_the_dense_system(rates, u):
+    m, k = rm.system_matrix(u, rates)
+    try:
+        state = rm.steady_state(u, rates)
+    except SingularMatrixError:
+        assert np.linalg.matrix_rank(m) < 3
+        return
+    x = np.array([state.c1, state.o, state.c2])
+    residual = np.max(np.abs(m @ x + k))
+    assert residual <= 1e-12 * (np.max(np.abs(m)) * np.max(np.abs(x)) + np.max(np.abs(k)))
+
+
+def test_singular_steady_state_is_a_numeric_failure(tmp_path):
+    # kb_minus = 0 at u = 0: nothing enters or leaves o, so M(0) has a zero row
+    rates = rm.MarkovRates(kb_minus=0.0)
+    with pytest.raises(SingularMatrixError):
+        rm.steady_state(0.0, rates)
+    assert rm.steady_state(1.0, rates) == rm.MarkovState(0.0, 1.0, 0.0)  # o absorbs
+    ini = tmp_path / "run.ini"
+    ini.write_text("[markov]\nkb_minus = 0\n")
+    assert cli.main(["steady", "--config", str(ini), "--out", str(tmp_path)]) == 3

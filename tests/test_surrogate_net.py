@@ -22,7 +22,7 @@ from cawave.errors import CorruptFileError, FormatVersionError, StateInvariantEr
 
 def test_architecture():
     params = sn.init_network(seed=0)
-    assert params.parameter_count() == sn.PARAMETER_COUNT == 14721
+    assert params.theta.size == sn.PARAMETER_COUNT == 14721
     assert [w.shape for w in params.weights] == [(200, 3), (64, 200), (16, 64), (1, 16)]
     assert all(np.all(b == 0.0) for b in params.biases)
 
@@ -163,21 +163,7 @@ def test_training_validation_errors():
         sn.train(np.zeros((50, 3)))
 
 
-def test_normalized_training_returns_raw_input_network():
-    rng = np.random.default_rng(12)
-    x = np.column_stack(
-        [rng.uniform(0, 1, 500), rng.uniform(0, 10, 500), rng.uniform(-40, 40, 500)]
-    )
-    y = 0.05 * x[:, 1] - 0.01 * x[:, 2]
-    samples = np.column_stack([x, y])
-    params, hist = sn.train(
-        samples, epochs=20, batch_size=100, validation_fraction=0.1, seed=3, normalize_inputs=True
-    )
-    # the folded network consumes raw inputs and still fits the raw targets
-    assert sn.loss(params, samples) < hist.train[0] / 10.0
-
-
-def reference_train(samples, epochs, batch_size, validation_fraction, seed, normalize_inputs):
+def reference_train(samples, epochs, batch_size, validation_fraction, seed):
     """The list-based trainer: allocating forward/backward and per-layer Adam.
 
     Same data order, split, initialization and operation order as sn.train,
@@ -190,14 +176,6 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed, norm
     nl = len(init.weights)
     train_idx, val_idx = sn.validation_split(samples.shape[0], validation_fraction, rng)
     train_set, val_set = samples[train_idx], samples[val_idx]
-    mu, sigma = np.zeros(3), np.ones(3)
-    if normalize_inputs:
-        mu = train_set[:, :3].mean(axis=0)
-        sigma = train_set[:, :3].std(axis=0)
-        sigma[sigma == 0.0] = 1.0
-        train_set, val_set = train_set.copy(), val_set.copy()
-        train_set[:, :3] = (train_set[:, :3] - mu) / sigma
-        val_set[:, :3] = (val_set[:, :3] - mu) / sigma
 
     def forward(x):
         ws, bs = layers[:nl], layers[nl:]
@@ -236,15 +214,10 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed, norm
         train_hist.append(loss_sum / train_set.shape[0])
         err = forward(val_set[:, :3])[0] - val_set[:, 3]
         val_hist.append(float(np.mean(err * err)))
-    if normalize_inputs:
-        w0 = layers[0]
-        layers[0] = w0 / sigma[None, :]
-        layers[nl] = layers[nl] - w0 @ (mu / sigma)
     return layers, np.array(train_hist), np.array(val_hist)
 
 
-@pytest.mark.parametrize("normalize_inputs", [False, True])
-def test_training_matches_list_based_reference_bit_for_bit(normalize_inputs):
+def test_training_matches_list_based_reference_bit_for_bit():
     # 1800 training rows in batches of 256 leave a partial batch of 8, and
     # the 1200 validation rows span two forward blocks
     rng = np.random.default_rng(14)
@@ -253,11 +226,8 @@ def test_training_matches_list_based_reference_bit_for_bit(normalize_inputs):
     )
     samples = np.column_stack([x, 0.05 * x[:, 1] - 0.01 * x[:, 2] + 0.1 * np.sin(6 * x[:, 0])])
     assert 1200 > sn.FORWARD_BLOCK_ROWS
-    params, hist = sn.train(
-        samples, epochs=3, batch_size=256, validation_fraction=0.4, seed=6,
-        normalize_inputs=normalize_inputs,
-    )
-    layers, train_hist, val_hist = reference_train(samples, 3, 256, 0.4, 6, normalize_inputs)
+    params, hist = sn.train(samples, epochs=3, batch_size=256, validation_fraction=0.4, seed=6)
+    layers, train_hist, val_hist = reference_train(samples, 3, 256, 0.4, 6)
     for got, want in zip(params.weights + params.biases, layers):
         assert np.array_equal(got, want)
     assert np.array_equal(hist.train, train_hist)
