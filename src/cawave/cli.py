@@ -10,13 +10,14 @@ Subcommands:
   convergence  manufactured-solution error table for the store operator
   steady       tabulate gating fixed points over a calcium grid
 
-Every subcommand accepts --config/--seed/--out/--threads.  Exit codes: 0 on
-success, 2 for configuration errors (including argparse failures), 3 for
-numeric failures, 4 for I/O errors.  Each output file gets a sidecar
-<file>.meta.json recording the config digest, seed, and library versions;
-train's sidecars also record the effective training values and the input
-dataset's name and CRC32.  The data files themselves carry no timestamps, so
-fixed seeds reproduce them bit for bit.
+Every subcommand accepts --config/--seed/--out; gen-data also takes --threads,
+its number of labelling workers.  Exit codes: 0 on success, 2 for
+configuration errors (including argparse failures), 3 for numeric failures, 4
+for I/O errors.  Each output file gets a sidecar <file>.meta.json recording
+the config digest, seed, and library versions; train's sidecars also record
+the effective training values and the input dataset's name and CRC32.  The
+data files themselves carry no timestamps, so fixed seeds reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ def _prepare(args):
             raise ConfigError(f"--seed must lie in [0, {MAX_SEED}], got {args.seed}")
         cfg.values["network"]["seed"] = args.seed
         cfg.values["dataset"]["seed"] = args.seed
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be positive, got {args.threads}")
     os.makedirs(args.out, exist_ok=True)
     return cfg
 
 
 def cmd_gen_data(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be positive, got {args.threads}")
     cfg = _prepare(args)
     seed = cfg.get("dataset", "seed")
     if args.set == "ode":
@@ -232,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="INI run configuration")
     common.add_argument("--seed", type=int, help="override dataset and training seeds")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="dataset worker threads")
 
     parser = argparse.ArgumentParser(
         prog="cawave", description="calcium wave simulation and gating surrogate toolkit"
@@ -243,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=["ode", "artificial-1", "artificial-2"])
     p.add_argument("--signals", type=int, help="pulse-grid subset size (ode set only)")
     p.add_argument("--csv", action="store_true", help="also write a CSV copy")
+    p.add_argument("--threads", type=int, default=1, help="labelling worker threads")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", parents=[common], help="train the gating surrogate")

@@ -79,12 +79,15 @@ class LabeledSeries:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def to_samples(self) -> np.ndarray:
-        """Forward-difference samples (P, u, du/dt) -> dP/dt, one per interior step."""
-        dt = self.dt
-        dudt = np.diff(self.u) / dt
-        dpdt = np.diff(self.p) / dt
-        return np.column_stack([self.p[:-1], self.u[:-1], dudt, dpdt])
+
+def difference_samples(p: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+    """Forward-difference samples (P, u, du/dt) -> dP/dt of series along the last axis.
+
+    Each series gives one row per step but its last, series in row-major order.
+    """
+    dudt = np.diff(u) / dt
+    dpdt = np.diff(p) / dt
+    return np.stack([p[..., :-1].ravel(), u[..., :-1].ravel(), dudt.ravel(), dpdt.ravel()], axis=1)
 
 
 def signal_times() -> np.ndarray:
@@ -178,14 +181,7 @@ def build_ode_dataset(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda c: label_signals(u_block[c], dt, FULLY_CLOSED_STATE, rates), chunks))
         p_block = np.concatenate(parts, axis=0)
-
-    dudt = np.diff(u_block, axis=1) / dt
-    dpdt = np.diff(p_block, axis=1) / dt
-    samples = np.stack(
-        [p_block[:, :-1].ravel(), u_block[:, :-1].ravel(), dudt.ravel(), dpdt.ravel()],
-        axis=1,
-    )
-    return samples
+    return difference_samples(p_block, u_block, dt)
 
 
 def gen_training_set_I() -> list:
@@ -234,7 +230,7 @@ def gen_training_set_II() -> list:
 
 def series_to_samples(series_list) -> np.ndarray:
     """Concatenate per-series forward-difference samples, series order kept."""
-    return np.concatenate([s.to_samples() for s in series_list], axis=0)
+    return np.concatenate([difference_samples(s.p, s.u, s.dt) for s in series_list], axis=0)
 
 
 @dataclass(frozen=True)

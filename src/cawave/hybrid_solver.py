@@ -108,9 +108,6 @@ class SimConfig:
     initial_markov_state: MarkovState = ryr_markov.RESTING_STATE
     network: surrogate_net.NetworkParams | None = None
     weights_path: str | None = None
-    initial_probability: float | None = None  # surrogate start; defaults to the
-    # open probability of initial_markov_state
-    observer_stride: int = 1
 
     def validate(self) -> None:
         if not 0.0 < self.er_radius < self.cell_radius:
@@ -125,27 +122,29 @@ class SimConfig:
             raise ConfigError("t_end shorter than one step")
         if self.channel not in ("markov", "surrogate", "zero"):
             raise ConfigError(f"unknown channel model: {self.channel!r}")
+        if self.channel == "surrogate" and self.network is None and self.weights_path is None:
+            raise ConfigError("surrogate channel needs network params or a weight file")
         if self.u_init < 0 or self.ue_init <= 0 or not 0 <= self.b_init <= self.buffer.total:
             raise ConfigError("initial concentrations out of range")
-        if self.observer_stride < 1:
-            raise ConfigError("observer_stride must be >= 1")
 
 
+@dataclass(frozen=True)
 class ZeroChannel:
-    """Channel held shut: P identically zero."""
+    """Channel held shut: P identically zero.
+
+    Gating handles are immutable values: advance(u_interface, dt) returns
+    the handle one step later and leaves the receiver as it was.
+    """
 
     probability = 0.0
 
-    def update(self, u_interface: float, dt: float) -> float:
-        return 0.0
-
-    def copy(self) -> "ZeroChannel":
-        return ZeroChannel()
+    def advance(self, u_interface: float, dt: float) -> "ZeroChannel":
+        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkovChannel:
-    """Gating by the Markov master equation, advanced with backward Euler."""
+    """Gating by the Markov master equation; advance takes one backward-Euler step."""
 
     rates: MarkovRates
     state: MarkovState
@@ -154,56 +153,36 @@ class MarkovChannel:
     def probability(self) -> float:
         return ryr_markov.open_probability(self.state)
 
-    def update(self, u_interface: float, dt: float) -> float:
-        self.state = ryr_markov.step_backward_euler(self.state, u_interface, dt, self.rates)
-        return self.probability
-
-    def copy(self) -> "MarkovChannel":
-        return MarkovChannel(self.rates, self.state)
+    def advance(self, u_interface: float, dt: float) -> "MarkovChannel":
+        return MarkovChannel(
+            self.rates, ryr_markov.step_backward_euler(self.state, u_interface, dt, self.rates)
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurrogateChannel:
-    """Gating by the trained network; remembers the previous interface u."""
+    """Gating by the trained network; du/dt is differenced against u_prev."""
 
     params: surrogate_net.NetworkParams
-    probability: float = 0.0
+    probability: float
     u_prev: float | None = None
 
-    def update(self, u_interface: float, dt: float) -> float:
+    def advance(self, u_interface: float, dt: float) -> "SurrogateChannel":
         dudt = 0.0 if self.u_prev is None else (u_interface - self.u_prev) / dt
-        self.probability = surrogate_net.predict_next_probability(
+        p_next = surrogate_net.predict_next_probability(
             self.params, self.probability, u_interface, dudt, dt
         )
-        self.u_prev = u_interface
-        return self.probability
-
-    def copy(self) -> "SurrogateChannel":
-        return SurrogateChannel(self.params, self.probability, self.u_prev)
+        return SurrogateChannel(self.params, p_next, u_interface)
 
 
-def select_channel_model(
-    kind: str,
-    rates: MarkovRates | None = None,
-    initial_state: MarkovState | None = None,
-    params: surrogate_net.NetworkParams | None = None,
-    weights_path: str | None = None,
-    initial_probability: float = 0.0,
-):
-    """Build a gating handle: 'markov', 'surrogate', or 'zero'."""
-    if kind == "zero":
+def initial_channel(cfg: SimConfig):
+    """The t = 0 gating handle; both gated models start from initial_markov_state."""
+    if cfg.channel == "zero":
         return ZeroChannel()
-    if kind == "markov":
-        return MarkovChannel(rates or MarkovRates(), initial_state or ryr_markov.RESTING_STATE)
-    if kind == "surrogate":
-        if params is None:
-            if weights_path is None:
-                raise ConfigError("surrogate channel needs network params or a weight file")
-            params = surrogate_net.load_weights(weights_path)
-        if not 0.0 <= initial_probability <= 1.0:
-            raise ConfigError(f"initial probability outside [0, 1]: {initial_probability}")
-        return SurrogateChannel(params, initial_probability)
-    raise ConfigError(f"unknown channel model: {kind!r}")
+    if cfg.channel == "markov":
+        return MarkovChannel(cfg.rates, cfg.initial_markov_state)
+    params = cfg.network if cfg.network is not None else surrogate_net.load_weights(cfg.weights_path)
+    return SurrogateChannel(params, ryr_markov.open_probability(cfg.initial_markov_state))
 
 
 @dataclass
@@ -289,26 +268,12 @@ def build_system(cfg: SimConfig) -> _System:
 def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimState:
     cfg.validate()
     sys_ = system if system is not None else build_system(cfg)
-    if cfg.channel == "surrogate":
-        p0 = cfg.initial_probability
-        if p0 is None:
-            p0 = ryr_markov.open_probability(cfg.initial_markov_state)
-        channel = select_channel_model(
-            "surrogate",
-            params=cfg.network,
-            weights_path=cfg.weights_path,
-            initial_probability=p0,
-        )
-    else:
-        channel = select_channel_model(
-            cfg.channel, rates=cfg.rates, initial_state=cfg.initial_markov_state
-        )
     return SimState(
         0.0,
         np.full(sys_.cyto.num_nodes, cfg.u_init),
         np.full(sys_.cyto.num_nodes, cfg.b_init),
         np.full(sys_.er.num_nodes, cfg.ue_init),
-        channel,
+        initial_channel(cfg),
         sys_.cyto,
         sys_.er,
     )
@@ -329,13 +294,12 @@ def _check_field(arr: np.ndarray, name: str, lo: float, hi: float) -> None:
         raise StateInvariantError(f"{name} left [{lo}, {hi}]: range [{low}, {high}]")
 
 
-def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) -> SimState:
+def step_imex(state: SimState, cfg: SimConfig, system: _System) -> SimState:
     """Advance one IMEX step; returns a fresh SimState, inputs untouched."""
-    sys_ = system if system is not None else build_system(cfg)
     dt = cfg.dt
     pl, er_p, bf = cfg.plasma, cfg.er, cfg.buffer
     t_next = state.t + dt
-    n_c = sys_.cyto.num_nodes
+    n_c = system.cyto.num_nodes
 
     u_old = _clamped(state.u, "cytosolic calcium")
     b_old = _clamped(state.b, "free buffer")
@@ -346,8 +310,8 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
         raise StateInvariantError(f"ER interface concentration collapsed: {ue_l}")
 
     # (i) gating update with the newest interface concentration
-    channel = state.channel.copy()
-    p_open = channel.update(u_l, dt)
+    channel = state.channel.advance(u_l, dt)
+    p_open = channel.probability
     gate = er_p.ryr_scale * p_open + er_p.leak  # linear interface conductance
 
     # One block-diagonal solve for (ii)-(iv): the reactions M diag(bind b_old)
@@ -355,12 +319,12 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
     scale = np.concatenate(
         (bf.bind_rate * b_old, bf.unbind_rate + bf.bind_rate * u_old, np.zeros(state.ue.shape[0]))
     )
-    bands = sys_.static + sys_.react_mass * scale
+    bands = system.static + system.react_mass * scale
     data = np.concatenate((state.u, state.b, state.ue)) / dt
     data[:n_c] += bf.unbind_rate * (bf.total - b_old)
     data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
-    prod = sys_.mass * data  # mass @ data, summed in BandedMatrix.matvec's order
-    rhs = sys_.rhs.copy(order="F")
+    prod = system.mass * data  # mass @ data, summed in BandedMatrix.matvec's order
+    rhs = system.rhs.copy(order="F")
     y = rhs[:, 0]
     y[:] = prod[1]
     y[:-1] += prod[2, 1:]
@@ -409,7 +373,7 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
 
     # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
     # gate - dSERCA/du_e on the L row as a Sherman-Morrison update
-    y_e, g_e = x[2 * n_c :, 0], sys_.g_e
+    y_e, g_e = x[2 * n_c :, 0], system.g_e
     y_el, g_el = float(x[-1, 0]), float(g_e[-1])
     uel = float(state.ue[-1])
     beta_e = None
@@ -439,7 +403,7 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System | None = None) ->
     _check_field(b_new, "free buffer", -UNDERSHOOT_TOL, bf.total + UNDERSHOOT_TOL)
     _check_field(ue_new, "ER calcium", -UNDERSHOOT_TOL, big)
 
-    return SimState(t_next, u_new, b_new, ue_new, channel, sys_.cyto, sys_.er)
+    return SimState(t_next, u_new, b_new, ue_new, channel, system.cyto, system.er)
 
 
 def conserved_quantity(state: SimState) -> float:
@@ -479,51 +443,31 @@ def _longest_run(mask: np.ndarray, dt: float) -> float:
     return best * dt
 
 
-def run_simulation(cfg: SimConfig, initial_state: SimState | None = None) -> SimOutput:
-    """Integrate to t_end and collect observers.
+def run_simulation(cfg: SimConfig) -> SimOutput:
+    """Integrate from the initial state to t_end, observing every step.
 
-    The wave duration metric is the longest contiguous stretch with
-    u(L) > 2 * u_init (twice resting calcium).
+    The series hold t = 0 and every step after it, so the wave metrics read
+    the same values as the CSV.  The wave duration is the longest contiguous
+    stretch with u(L) > 2 * u_init (twice resting calcium).
     """
-    cfg.validate()
     sys_ = build_system(cfg)
-    state = initial_state if initial_state is not None else make_initial_state(cfg, sys_)
+    state = make_initial_state(cfg, sys_)
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ConfigError(f"t_end = {cfg.t_end} is not a whole number of steps of {cfg.dt}")
 
-    stride = cfg.observer_stride
-    times = [state.t]
-    u_r = [float(state.u[-1])]
-    u_l = [float(state.u[0])]
-    ue_l = [float(state.ue[-1])]
-    p_series = [float(state.probability)]
-    peak_anywhere = float(state.u.max())
+    times, u_r, u_l, ue_l, p_series, u_max = np.empty((6, n_steps + 1))
+    for n in range(n_steps + 1):
+        if n:
+            state = step_imex(state, cfg, sys_)
+        times[n], u_r[n], u_l[n], ue_l[n] = state.t, state.u[-1], state.u[0], state.ue[-1]
+        p_series[n], u_max[n] = state.probability, state.u.max()
 
-    for n in range(1, n_steps + 1):
-        state = step_imex(state, cfg, sys_)
-        peak_anywhere = max(peak_anywhere, float(state.u.max()))
-        if n % stride == 0 or n == n_steps:
-            times.append(state.t)
-            u_r.append(float(state.u[-1]))
-            u_l.append(float(state.u[0]))
-            ue_l.append(float(state.ue[-1]))
-            p_series.append(float(state.probability))
-
-    times = np.asarray(times)
-    u_l_arr = np.asarray(u_l)
-    peak_idx = int(np.argmax(u_l_arr))
+    peak = int(np.argmax(u_l))
+    duration = _longest_run(u_l > 2.0 * cfg.u_init, cfg.dt)
     return SimOutput(
-        times,
-        np.asarray(u_r),
-        u_l_arr,
-        np.asarray(ue_l),
-        np.asarray(p_series),
-        float(u_l_arr[peak_idx]),
-        float(times[peak_idx]),
-        peak_anywhere,
-        _longest_run(u_l_arr > 2.0 * cfg.u_init, cfg.dt * stride),
-        state,
+        times, u_r, u_l, ue_l, p_series, float(u_l[peak]), float(times[peak]),
+        float(u_max.max()), duration, state,
     )
 
 

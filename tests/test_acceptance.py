@@ -174,8 +174,7 @@ def wave_peaks():
     peaks = {}
     for denom in (2500, 12500):
         cfg = hs.preset_config(
-            "example1", dt=1.0 / denom, t_end=4.0, er_elements=80, cyto_elements=80,
-            observer_stride=10,
+            "example1", dt=1.0 / denom, t_end=4.0, er_elements=80, cyto_elements=80
         )
         peaks[denom] = hs.run_simulation(cfg).peak_u_l
     return peaks

@@ -228,6 +228,23 @@ def test_unknown_config_section(tmp_path):
     assert "channles" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[DEFAULT]\ndt = 0.5\n", "DEFAULT"),  # not configparser's defaults section here
+        ("[channles]\n", "channles"),  # empty, but still unknown
+        ("[output]\nobserver_stride = 10\n", "observer_stride"),
+    ],
+)
+def test_every_unknown_section_is_rejected(tmp_path, text, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    r = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert named in r.stderr
+    assert not (tmp_path / "simulation.csv").exists()
+
+
 def test_malformed_config(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("ryr_scale = 0.8\n")  # key before any section header
@@ -271,7 +288,11 @@ def test_convergence_csv(tmp_path):
 def test_bad_choice_and_threads(tmp_path):
     r = run_cli("gen-data", "--set", "nonsense", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
-    r = run_cli("steady", "--threads", "0", cwd=tmp_path)
+    r = run_cli("gen-data", "--set", "ode", "--threads", "0", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
+    assert "--threads" in r.stderr
+    for argv in (["train", "--data", "x.cwds"], ["simulate"], ["convergence"], ["steady"]):
+        r = run_cli(*argv, "--threads", "1", cwd=tmp_path)  # a gen-data flag only
+        assert r.returncode == 2 and "unrecognized arguments" in r.stderr, argv
     r = run_cli("no-such-command", cwd=tmp_path)
     assert r.returncode == 2, r.stderr

@@ -125,6 +125,15 @@ def test_series_to_samples_counts():
     assert ds.series_to_samples(series2).shape == (200 * 200, 4)
 
 
+def test_difference_samples_over_the_last_axis():
+    u = np.array([[1.0, 3.0, 2.0], [0.5, 0.5, 4.5]])
+    p = np.array([[0.0, 0.2, 0.1], [0.4, 0.3, 0.3]])
+    rows = ds.difference_samples(p, u, 0.5)
+    assert np.array_equal(rows[:2], [[0.0, 1.0, 4.0, 0.4], [0.2, 3.0, -2.0, -0.2]])
+    # a block gives its series' samples in series order
+    assert np.array_equal(rows, np.concatenate([ds.difference_samples(p[k], u[k], 0.5) for k in (0, 1)]))
+
+
 def test_eval_signals():
     sigs = ds.gen_eval_signals()
     assert len(sigs) == 4

@@ -78,18 +78,22 @@ def test_initial_state():
 
 def test_channel_selection():
     rest_p = 1.0 - 0.994 - 5.6625e-3  # open fraction of the resting occupancies
-    markov = hs.select_channel_model("markov")
+    markov = hs.initial_channel(hs.preset_config("example1"))
     assert abs(markov.probability - rest_p) <= 1e-9
-    zero = hs.select_channel_model("zero")
+    stepped = markov.advance(5.0, 0.01)  # a new value; the handle itself is unchanged
+    assert stepped.probability > markov.probability
+    assert abs(markov.probability - rest_p) <= 1e-9
+    zero = hs.initial_channel(hs.preset_config("example1", channel="zero"))
     assert zero.probability == 0.0
-    assert zero.update(5.0, 0.01) == 0.0
+    assert zero.advance(5.0, 0.01).probability == 0.0
     with pytest.raises(ConfigError):
-        hs.select_channel_model("surrogate")  # no weights given
+        hs.preset_config("example1", channel="surrogate").validate()  # no weights given
     with pytest.raises(ConfigError):
-        hs.select_channel_model("colgate")
+        hs.preset_config("example1", channel="colgate").validate()
     params = sn.init_network(seed=0)
-    surro = hs.select_channel_model("surrogate", params=params, initial_probability=0.25)
-    assert surro.probability == 0.25
+    surro = hs.initial_channel(hs.preset_config("example1", channel="surrogate", network=params))
+    assert surro.probability == markov.probability  # both start from the resting state
+    assert surro.advance(0.05, 0.01).u_prev == 0.05 and surro.u_prev is None
 
 
 def test_equilibrium_persists_without_stimulus():
@@ -190,8 +194,10 @@ def test_time_grid_must_divide_horizon():
 
 
 def test_output_bookkeeping():
-    cfg = hs.preset_config("example1", dt=0.01, t_end=1.2, observer_stride=2)
+    cfg = hs.preset_config("example1", dt=0.01, t_end=1.2)
     out = hs.run_simulation(cfg)
+    assert out.times.shape == (121,)  # t = 0 and every one of the 120 steps
+    assert np.allclose(np.diff(out.times), cfg.dt, rtol=1e-9, atol=0.0)
     assert out.times[0] == 0.0
     assert out.times[-1] == pytest.approx(1.2, abs=1e-12)
     assert out.peak_u_l == np.max(out.u_l)
@@ -244,11 +250,8 @@ class FixedChannel:
     def __init__(self, probability):
         self.probability = probability
 
-    def update(self, u_interface, dt):
-        return self.probability
-
-    def copy(self):
-        return FixedChannel(self.probability)
+    def advance(self, u_interface, dt):
+        return self
 
 
 def _fixed_point(start, system):
@@ -272,7 +275,7 @@ def reference_step(state, cfg):
     dt, pl, er_p, bf = cfg.dt, cfg.plasma, cfg.er, cfg.buffer
     u_old, b_old, ue_old = (np.maximum(f, 0.0) for f in (state.u, state.b, state.ue))
     u_l, ue_l = u_old[0], ue_old[-1]
-    gate = er_p.ryr_scale * state.channel.copy().update(u_l, dt) + er_p.leak
+    gate = er_p.ryr_scale * state.channel.advance(u_l, dt).probability + er_p.leak
 
     a_u = mc / dt + cfg.d_calcium * (kc - ac) + mc @ np.diag(bf.bind_rate * b_old)
     a_u[0, 0] += gate
