@@ -15,9 +15,10 @@ its number of labelling workers.  Exit codes: 0 on success, 2 for
 configuration errors (including argparse failures), 3 for numeric failures, 4
 for I/O errors.  Each output file gets a sidecar <file>.meta.json recording
 the config digest, seed, and library versions; train's sidecars also record
-the effective training values and the input dataset's name and CRC32.  The
-data files themselves carry no timestamps, so fixed seeds reproduce them bit
-for bit.
+the effective training values and the input dataset's name and CRC32, and
+simulate's the digest of the effective SimConfig and the weight file's CRC32.
+The data files themselves carry no timestamps, so fixed seeds reproduce them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def _write_sidecar(path, command: str, cfg: RunConfig, seed, extra=None) -> None
     with open(f"{path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _input_file(path) -> dict:
+    """Name and stored CRC32 of an input file, for the sidecars."""
+    return {"file": os.path.basename(path), "crc32": f"{container.stored_crc(path):08x}"}
 
 
 def _prepare(args):
@@ -126,10 +132,7 @@ def cmd_train(args) -> int:
             "subset": args.subset,
             "learning_rate": net["learning_rate"],
         },
-        "data": {
-            "file": os.path.basename(args.data),
-            "crc32": f"{container.stored_crc(args.data):08x}",
-        },
+        "data": _input_file(args.data),
     }
     if args.subset is not None:
         if not 1 <= args.subset <= samples.shape[0]:
@@ -191,7 +194,10 @@ def cmd_simulate(args) -> int:
 
     path = os.path.join(args.out, "simulation.csv")
     hybrid_solver.write_simulation_csv(path, output)
-    _write_sidecar(path, "simulate", cfg, cfg.get("network", "seed"))
+    run = {"sim_config_sha256": sim_cfg.digest()}
+    if sim_cfg.weights_path is not None:
+        run["weights"] = _input_file(sim_cfg.weights_path)
+    _write_sidecar(path, "simulate", cfg, cfg.get("network", "seed"), run)
 
     print(f"peak u(L) = {output.peak_u_l:.6f} at t = {output.peak_time:.6f}")
     print(f"peak u anywhere = {output.peak_u_anywhere:.6f}")

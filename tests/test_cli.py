@@ -162,6 +162,21 @@ def test_simulate_zero_channel(tmp_path):
     assert len(lines) == 52  # 50 steps + initial row + header
 
 
+def test_simulate_sidecar_identifies_the_effective_run(tmp_path):
+    records = {}
+    for sub, dt in (("a", "0.01"), ("b", "0.01"), ("c", "0.02")):
+        r = run_cli(
+            "simulate", "--channel", "zero", "--dt", dt, "--t-end", "0.04",
+            "--out", str(tmp_path / sub), cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        records[sub] = json.loads((tmp_path / sub / "simulation.csv.meta.json").read_text())
+    digests = {sub: meta["sim_config_sha256"] for sub, meta in records.items()}
+    assert digests["a"] == digests["b"] != digests["c"]
+    assert len({meta["config_sha256"] for meta in records.values()}) == 1  # the INI alone
+    assert "weights" not in records["a"]
+
+
 def test_simulate_determinism(tmp_path):
     for sub in ("a", "b"):
         r = run_cli(
@@ -197,6 +212,9 @@ def test_simulate_with_trained_surrogate(workdir, tmp_path):
         "--out", str(tmp_path), cwd=tmp_path,
     )
     assert r.returncode == 0, r.stderr
+    meta = json.loads((tmp_path / "simulation.csv.meta.json").read_text())
+    data = (workdir / "weights.cwnn").read_bytes()
+    assert meta["weights"] == {"file": "weights.cwnn", "crc32": data[-4:][::-1].hex()}
 
 
 def test_simulate_rejects_mismatched_grid(tmp_path):
@@ -243,6 +261,16 @@ def test_every_unknown_section_is_rejected(tmp_path, text, named):
     assert r.returncode == 2, r.stderr
     assert named in r.stderr
     assert not (tmp_path / "simulation.csv").exists()
+
+
+def test_off_simplex_markov_occupancy_is_a_config_error(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[markov]\nc1 = 2\n")
+    out = tmp_path / "out"
+    r = run_cli("simulate", "--config", str(cfg), "--out", str(out), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert "config error" in r.stderr and "c1" in r.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_malformed_config(tmp_path):

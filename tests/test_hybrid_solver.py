@@ -9,8 +9,10 @@ store interface later.
 
 One condensed step is checked against a dense reference that assembles the
 three matrices in full and runs the boundary fixed point with a full solve
-per pass; a boundary system made exactly singular must raise
-SingularMatrixError, and the CLI must report it with exit code 3.
+per pass, with roundoff undershoots in some of the inputs; a whole run must
+equal a chain of step_imex calls bit for bit; a boundary system made exactly
+singular must raise SingularMatrixError, and the CLI must report it with
+exit code 3.
 """
 
 import numpy as np
@@ -158,7 +160,9 @@ def test_negative_undershoot_policy():
     cfg = hs.preset_config("example1", dt=1e-3)
     sys_ = hs.build_system(cfg)
     state = hs.make_initial_state(cfg, sys_)
-    state.u[3] = -1e-9  # roundoff-scale: clamped quietly
+    # roundoff-scale: clamped quietly, so the Markov step, which rejects
+    # u < 0, sees zero at the interface node
+    state.u[0] = state.u[3] = -1e-9
     hs.step_imex(state, cfg, sys_)
 
     state = hs.make_initial_state(cfg, sys_)
@@ -245,12 +249,17 @@ def test_wave_duration_definition():
 
 
 class FixedChannel:
-    """Gating handle that holds the open probability at a given value."""
+    """Gating handle that holds the open probability at a given value.
+
+    Like the Markov step, it rejects a negative interface concentration, so
+    an undershoot that reaches it unclamped fails the step.
+    """
 
     def __init__(self, probability):
         self.probability = probability
 
     def advance(self, u_interface, dt):
+        assert u_interface >= 0.0, f"unclamped interface value {u_interface}"
         return self
 
 
@@ -318,28 +327,88 @@ def _perturbed(n, low, high):
     return arrays(np.float64, n, elements=st.floats(low, high), fill=st.nothing())
 
 
+FIELD_NODES = {"u": 13, "b": 13, "ue": 8}  # ue's interface node (index 8) stays positive
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
     du=_perturbed(13, 0.0, 3.0),
     db=_perturbed(13, -15.0, 3.0),
     due=_perturbed(9, -100.0, 100.0),
+    undershoots=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(FIELD_NODES)),
+            st.one_of(st.just(0), st.integers(0, 12)),  # 0: the L node of u and b
+            st.floats(-hs.UNDERSHOOT_TOL, 0.0, exclude_max=True),
+        ),
+        max_size=4,
+    ),
     p_open=st.floats(0.0, 1.0),
     dt=st.sampled_from([1e-4, 4e-4, 2e-3, 1e-2]),
     t=st.floats(0.0, 1.5),
     plasma=st.booleans(),
 )
-def test_step_matches_dense_reference(du, db, due, p_open, dt, t, plasma):
+def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, plasma):
+    # roundoff undershoots in [-1e-8, 0) are clamped for the reaction and
+    # flux terms, while the data keep the raw values
     cfg = hs.preset_config(
         "example1", cyto_elements=12, er_elements=8, dt=dt, plasma_enabled=plasma
     )
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
-    state = hs.SimState(
-        t, rest.u + du, rest.b + db, rest.ue + due, FixedChannel(p_open), sys_.cyto, sys_.er
-    )
+    fields = {"u": rest.u + du, "b": rest.b + db, "ue": rest.ue + due}
+    for name, node, value in undershoots:
+        fields[name][node % FIELD_NODES[name]] = value
+    state = hs.SimState(t, *fields.values(), FixedChannel(p_open), sys_.cyto, sys_.er)
     new = hs.step_imex(state, cfg, sys_)
     for got, want in zip((new.u, new.b, new.ue), reference_step(state, cfg)):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+SURROGATE = sn.init_network(seed=5)
+
+
+def _chain_of_steps(cfg):
+    """run_simulation's series and final state, rebuilt from step_imex calls."""
+    sys_ = hs.build_system(cfg)
+    state = hs.make_initial_state(cfg, sys_)
+    rows, u_max = [], -np.inf
+    for n in range(round(cfg.t_end / cfg.dt) + 1):
+        if n:
+            state = hs.step_imex(state, cfg, sys_)
+        rows.append((state.t, state.u[-1], state.u[0], state.ue[-1], state.channel.probability))
+        u_max = max(u_max, state.u.max())
+    return np.array(rows).T, u_max, state
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(
+    channel=st.sampled_from(["zero", "markov", "surrogate"]),
+    plasma=st.booleans(),
+    cyto_elements=st.integers(1, 10),
+    er_elements=st.integers(1, 10),
+    steps=st.integers(1, 30),
+    dt=st.sampled_from([1e-3, 1e-2, 4e-2]),
+)
+def test_run_is_a_chain_of_steps(channel, plasma, cyto_elements, er_elements, steps, dt):
+    # the run advances its own buffers in place; step_imex starts each step
+    # from a fresh state, and the two must agree bit for bit
+    cfg = hs.preset_config(
+        "example1", channel=channel, plasma_enabled=plasma, cyto_elements=cyto_elements,
+        er_elements=er_elements, dt=dt, t_end=steps * dt,
+        network=SURROGATE if channel == "surrogate" else None,
+    )
+    out, again = hs.run_simulation(cfg), hs.run_simulation(cfg)
+    series, u_max, final = _chain_of_steps(cfg)
+    for got, want in zip((out.times, out.u_r, out.u_l, out.ue_l, out.p), series):
+        assert np.array_equal(got, want)
+    assert out.peak_u_anywhere == u_max
+    runs = (out.final_state, again.final_state)
+    for name in ("u", "b", "ue"):
+        assert np.array_equal(getattr(out.final_state, name), getattr(final, name))
+    arrays = [getattr(state, name) for state in runs for name in ("u", "b", "ue")]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
 def _singular_er_slope(cfg):
