@@ -143,14 +143,13 @@ def cmd_train(args) -> int:
         idx = np.sort(rng.choice(samples.shape[0], size=args.subset, replace=False))
         samples = samples[idx]
 
-    adam = surrogate_net.init_adam(learning_rate=net["learning_rate"])
     params, history = surrogate_net.train(
         samples,
         epochs=epochs,
         batch_size=batch_size,
         validation_fraction=val_fraction,
         seed=seed,
-        adam=adam,
+        learning_rate=net["learning_rate"],
     )
 
     weights_path = os.path.join(args.out, "weights.cwnn")

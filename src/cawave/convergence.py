@@ -30,72 +30,60 @@ DOMAIN_LENGTH = 1.5
 TRANSIENT_HORIZON = 0.2
 
 
-def exact_steady(r: np.ndarray, length: float = DOMAIN_LENGTH) -> np.ndarray:
-    return np.cos(np.pi * r / length)
+def exact_steady(r: np.ndarray) -> np.ndarray:
+    return np.cos(np.pi * r / DOMAIN_LENGTH)
 
 
-def steady_source(r: np.ndarray, diffusivity: float, length: float = DOMAIN_LENGTH) -> np.ndarray:
+def steady_source(r: np.ndarray) -> np.ndarray:
     """s = -D (v'' + v'/r) for v = cos(pi r / L), with the r=0 limit filled in."""
-    k = np.pi / length
+    k = np.pi / DOMAIN_LENGTH
     r = np.asarray(r, dtype=float)
-    out = diffusivity * k * k * np.cos(k * r)
+    out = DEFAULT_DIFFUSIVITY * k * k * np.cos(k * r)
     with np.errstate(invalid="ignore", divide="ignore"):
-        radial = diffusivity * k * np.sin(k * r) / r
-    radial = np.where(r == 0.0, diffusivity * k * k, radial)
+        radial = DEFAULT_DIFFUSIVITY * k * np.sin(k * r) / r
+    radial = np.where(r == 0.0, DEFAULT_DIFFUSIVITY * k * k, radial)
     return out + radial
+
+
+def _discretize(num_elements: int):
+    """The mesh on [0, L], its mass matrix and the bands of D (K - A)."""
+    mesh = fem_core.build_mesh(0.0, DOMAIN_LENGTH, num_elements)
+    mass = fem_core.assemble_mass(mesh)
+    stiff = fem_core.assemble_stiffness(mesh)
+    conv = fem_core.assemble_convection(mesh)
+    return mesh, mass, DEFAULT_DIFFUSIVITY * (stiff.bands - conv.bands)
 
 
 def _l2_error(mass: fem_core.BandedMatrix, err: np.ndarray) -> float:
     return float(math.sqrt(err @ mass.matvec(err)))
 
 
-def steady_case_error(num_elements: int, diffusivity: float = DEFAULT_DIFFUSIVITY) -> float:
+def steady_case_error(num_elements: int) -> float:
     """Solve the pinned steady problem on num_elements; return the L2 error."""
-    mesh = fem_core.build_mesh(0.0, DOMAIN_LENGTH, num_elements)
-    mass = fem_core.assemble_mass(mesh)
-    stiff = fem_core.assemble_stiffness(mesh)
-    conv = fem_core.assemble_convection(mesh)
-
-    lower = diffusivity * (stiff.lower - conv.lower)
-    diag = diffusivity * (stiff.diag - conv.diag)
-    upper = diffusivity * (stiff.upper - conv.upper)
-    rhs = mass.matvec(steady_source(mesh.nodes, diffusivity))
-
+    mesh, mass, diffusion = _discretize(num_elements)
+    op = fem_core.BandedMatrix(diffusion)
+    rhs = mass.matvec(steady_source(mesh.nodes))
     # Dirichlet pin at r = L removes the Neumann nullspace
-    diag[-1] = 1.0
-    lower[-1] = 0.0
-    rhs[-1] = exact_steady(np.array([mesh.nodes[-1]]))[0]
-
-    solution = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
+    op.diag[-1], op.lower[-1], rhs[-1] = 1.0, 0.0, exact_steady(mesh.nodes[-1:])[0]
+    solution = fem_core.solve_tridiagonal(op.lower, op.diag, op.upper, rhs)
     return _l2_error(mass, solution - exact_steady(mesh.nodes))
 
 
-def transient_case_error(
-    num_elements: int,
-    diffusivity: float = DEFAULT_DIFFUSIVITY,
-    horizon: float = TRANSIENT_HORIZON,
-) -> float:
+def transient_case_error(num_elements: int) -> float:
     """Backward-Euler run with dt = horizon (h/L)^2; L2 error at the horizon."""
-    mesh = fem_core.build_mesh(0.0, DOMAIN_LENGTH, num_elements)
-    mass = fem_core.assemble_mass(mesh)
-    stiff = fem_core.assemble_stiffness(mesh)
-    conv = fem_core.assemble_convection(mesh)
-
+    mesh, mass, diffusion = _discretize(num_elements)
     num_steps = num_elements * num_elements  # horizon / (horizon (h/L)^2)
-    dt = horizon / num_steps
-    lower = mass.lower / dt + diffusivity * (stiff.lower - conv.lower)
-    diag = mass.diag / dt + diffusivity * (stiff.diag - conv.diag)
-    upper = mass.upper / dt + diffusivity * (stiff.upper - conv.upper)
+    dt = TRANSIENT_HORIZON / num_steps
+    op = fem_core.BandedMatrix(mass.bands / dt + diffusion)
+    lower, diag, upper = op.lower, op.diag, op.upper
 
-    base = steady_source(mesh.nodes, diffusivity)
     profile = exact_steady(mesh.nodes)
+    forcing = steady_source(mesh.nodes) - profile  # s(r, t) = e^{-t} forcing(r)
     w = profile.copy()  # exact at t = 0
     for n in range(1, num_steps + 1):
-        t_next = n * dt
-        # s(r, t) = e^{-t} (steady_source(r) - cos(pi r / L))
-        source = math.exp(-t_next) * (base - profile)
+        source = math.exp(-n * dt) * forcing
         w = fem_core.solve_tridiagonal(lower, diag, upper, mass.matvec(w / dt + source))
-    return _l2_error(mass, w - math.exp(-horizon) * profile)
+    return _l2_error(mass, w - math.exp(-TRANSIENT_HORIZON) * profile)
 
 
 @dataclass(frozen=True)
@@ -107,15 +95,13 @@ class ConvergenceRow:
     order: float  # NaN on the coarsest mesh
 
 
-def run_convergence_study(
-    meshes: tuple = DEFAULT_MESHES, diffusivity: float = DEFAULT_DIFFUSIVITY
-) -> list:
+def run_convergence_study(meshes: tuple = DEFAULT_MESHES) -> list:
     """Errors and observed orders for both cases over the mesh sequence."""
     rows = []
     for case, runner in (("steady", steady_case_error), ("transient", transient_case_error)):
         prev = None
         for num in meshes:
-            err = runner(num, diffusivity)
+            err = runner(num)
             order = math.nan if prev is None else math.log2(prev / err)
             rows.append(ConvergenceRow(case, num, DOMAIN_LENGTH / num, err, order))
             prev = err

@@ -38,25 +38,6 @@ SAMPLES_MAGIC = b"CWDS"
 SAMPLES_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Parameters of one pulse signal of the ODE corpus."""
-
-    amplitude: float
-    duration: float
-    baseline: float = BASELINE
-    dt: float = SIGNAL_DT
-    window: float = SIGNAL_WINDOW
-
-    def __post_init__(self):
-        if not self.baseline <= self.amplitude <= 30.0:
-            raise ValueError(f"amplitude {self.amplitude} outside [{self.baseline}, 30]")
-        if not 0.0 < self.duration <= self.window:
-            raise ValueError(f"duration {self.duration} outside (0, {self.window}]")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
 @dataclass
 class LabeledSeries:
     """A calcium signal with its gating response on a uniform time grid."""
@@ -97,13 +78,16 @@ def signal_times() -> np.ndarray:
 
 def gen_cosine_signal(amplitude: float, duration: float) -> np.ndarray:
     """Raised-cosine pulse centred in the sampling window, resting elsewhere."""
-    spec = SignalSpec(amplitude, duration)  # validates the ranges
+    if not BASELINE <= amplitude <= 30.0:
+        raise ValueError(f"amplitude {amplitude} outside [{BASELINE}, 30]")
+    if not 0.0 < duration <= SIGNAL_WINDOW:
+        raise ValueError(f"duration {duration} outside (0, {SIGNAL_WINDOW}]")
     t = signal_times()
     center = SIGNAL_WINDOW / 2.0
-    u = np.full(t.shape, spec.baseline)
+    u = np.full(t.shape, BASELINE)
     inside = np.abs(t - center) <= duration / 2.0
     bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (t[inside] - center) / duration))
-    u[inside] = spec.baseline + (amplitude - spec.baseline) * bump
+    u[inside] = BASELINE + (amplitude - BASELINE) * bump
     return u
 
 

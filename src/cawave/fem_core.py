@@ -72,26 +72,26 @@ def build_mesh(r_start: float, r_end: float, num_elements: int) -> Mesh1D:
     return Mesh1D(r_start, r_end, num_elements, h, nodes)
 
 
-@dataclass
 class BandedMatrix:
-    """Tridiagonal matrix stored as (sub, main, super) diagonal bands.
+    """Tridiagonal matrix as one (3, n) array of bands indexed by matrix column.
 
-    Treated as immutable after construction; assembly routines always
-    allocate fresh band arrays.
+    Row 0, column j holds entry (j+1, j); row 1 holds the diagonal; row 2,
+    column j holds entry (j-1, j).  The two padding entries, bands[0, -1] and
+    bands[2, 0], are zero, so a column scaling bands * s is the product
+    A diag(s), and matrices laid side by side with np.hstack form a
+    block-diagonal one.  lower, diag and upper are views into bands, made
+    once here, in the order solve_tridiagonal takes them.
     """
 
-    lower: np.ndarray  # length n-1, entry k sits at (k+1, k)
-    diag: np.ndarray  # length n
-    upper: np.ndarray  # length n-1, entry k sits at (k, k+1)
-
-    def __post_init__(self):
-        n = self.diag.shape[0]
-        if self.lower.shape[0] != n - 1 or self.upper.shape[0] != n - 1:
-            raise ValueError("band lengths inconsistent with matrix dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
+    def __init__(self, bands: np.ndarray):
+        if bands.ndim != 2 or bands.shape[0] != 3 or bands.shape[1] < 1:
+            raise ValueError(f"bands must be (3, n) with n >= 1, got {bands.shape}")
+        if bands[0, -1] != 0.0 or bands[2, 0] != 0.0:
+            raise ValueError("band padding entries must be zero")
+        self.bands = bands
+        self.lower = bands[0, :-1]  # entry k sits at (k+1, k)
+        self.diag = bands[1]
+        self.upper = bands[2, 1:]  # entry k sits at (k, k+1)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
@@ -100,7 +100,7 @@ class BandedMatrix:
         return y
 
     def to_dense(self) -> np.ndarray:
-        n = self.dim
+        n = self.bands.shape[1]
         dense = np.zeros((n, n))
         dense[np.arange(n), np.arange(n)] = self.diag
         dense[np.arange(n - 1), np.arange(1, n)] = self.upper
@@ -108,84 +108,51 @@ class BandedMatrix:
         return dense
 
 
-def _empty_bands(n: int):
-    return np.zeros(n - 1), np.zeros(n), np.zeros(n - 1)
+def _scatter(mesh: Mesh1D, b00, b01, b10, b11) -> BandedMatrix:
+    """Sum the element blocks [[b00, b01], [b10, b11]] of every element e,
+    placed at rows and columns (e, e+1); each entry is a scalar or one value
+    per element."""
+    bands = np.zeros((3, mesh.num_nodes))
+    bands[0, :-1] += b10
+    bands[1, :-1] += b00
+    bands[1, 1:] += b11
+    bands[2, 1:] += b01
+    return BandedMatrix(bands)
 
 
 def assemble_mass(mesh: Mesh1D) -> BandedMatrix:
     """Mass matrix \\int phi_i phi_j dr (element blocks h/6 * [[2,1],[1,2]])."""
-    lower, diag, upper = _empty_bands(mesh.num_nodes)
     h = mesh.h
-    for e in range(mesh.num_elements):
-        diag[e] += h / 3.0
-        diag[e + 1] += h / 3.0
-        upper[e] += h / 6.0
-        lower[e] += h / 6.0
-    return BandedMatrix(lower, diag, upper)
+    return _scatter(mesh, h / 3.0, h / 6.0, h / 6.0, h / 3.0)
 
 
 def assemble_stiffness(mesh: Mesh1D) -> BandedMatrix:
     """Stiffness matrix \\int phi_i' phi_j' dr (element blocks 1/h * [[1,-1],[-1,1]])."""
-    lower, diag, upper = _empty_bands(mesh.num_nodes)
     inv_h = 1.0 / mesh.h
-    for e in range(mesh.num_elements):
-        diag[e] += inv_h
-        diag[e + 1] += inv_h
-        upper[e] -= inv_h
-        lower[e] -= inv_h
-    return BandedMatrix(lower, diag, upper)
-
-
-def _hat_over_r(a: float, b: float):
-    """Exact integrals of (left hat)/r and (right hat)/r over [a, b], a > 0."""
-    h = b - a
-    log_ba = math.log(b / a)
-    j_left = (b * log_ba - h) / h
-    j_right = (h - a * log_ba) / h
-    return j_left, j_right
-
-
-def _convection_element(a: float, b: float, singular: bool):
-    """2x2 element block of \\int (1/r) phi_m' phi_l dr on [a, b].
-
-    With singular=True the element starts at a = 0 and the left-hat integral
-    takes its Hadamard finite-part value (1/h)(h ln h - h); the right-hat
-    integral is an ordinary one because that hat vanishes at the origin.
-    """
-    h = b - a
-    if singular:
-        j_left = math.log(h) - 1.0
-        j_right = 1.0
-    else:
-        j_left, j_right = _hat_over_r(a, b)
-    inv_h = 1.0 / h
-    return np.array(
-        [
-            [-j_left * inv_h, j_left * inv_h],
-            [-j_right * inv_h, j_right * inv_h],
-        ]
-    )
+    return _scatter(mesh, inv_h, -inv_h, -inv_h, inv_h)
 
 
 def assemble_convection(mesh: Mesh1D) -> BandedMatrix:
     """Convection matrix A[i,j] = \\int (1/r) phi_j' phi_i dr.
 
-    On a mesh touching the origin the first element's left-hat row is
-    hypersingular and carries Hadamard finite-part values; everywhere else the
-    entries come from the closed-form logarithmic antiderivatives.  Every row
-    sums to zero because the hat functions partition unity.
+    On element [a, b] the block is (1/h) [[-j_left, j_left], [-j_right,
+    j_right]], with j_left and j_right the integrals of the left and right
+    hats over r.  On a mesh touching the origin the first element's left-hat
+    integral is hypersingular and takes its Hadamard finite-part value
+    ln h - 1; the right hat vanishes at the origin, so its integral is an
+    ordinary one, 1.  Every row sums to zero because the hat functions
+    partition unity.
     """
-    lower, diag, upper = _empty_bands(mesh.num_nodes)
-    nodes = mesh.nodes
-    for e in range(mesh.num_elements):
-        a = float(nodes[e])
-        b = float(nodes[e + 1])
-        block = _convection_element(a, b, singular=(e == 0 and mesh.touches_origin))
-        diag[e] += block[0, 0]
-        upper[e] += block[0, 1]
-        lower[e] += block[1, 0]
-        diag[e + 1] += block[1, 1]
-    return BandedMatrix(lower, diag, upper)
+    a, b = mesh.nodes[:-1], mesh.nodes[1:]
+    h = b - a
+    # math.log, not np.log: the two differ in the last bit on some elements
+    log_ba = np.array([math.log(y / x) if x else math.nan for x, y in zip(a.tolist(), b.tolist())])
+    j_left = (b * log_ba - h) / h
+    j_right = (h - a * log_ba) / h
+    if mesh.touches_origin:
+        j_left[0], j_right[0] = math.log(h[0]) - 1.0, 1.0
+    inv_h = 1.0 / h
+    return _scatter(mesh, -j_left * inv_h, j_left * inv_h, -j_right * inv_h, j_right * inv_h)
 
 
 def singular_entry_values(h: float):

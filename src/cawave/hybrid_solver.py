@@ -28,11 +28,12 @@ Time stepping is a first-order IMEX splitting.  Per step:
 
 With b, u_e and P lagged the three implicit systems are independent, so one
 step makes one tridiagonal solve: the matrices (M/dt + D K - D A) plus the
-reaction sit side by side in one block-diagonal band (zero entries at the
-block seams), with three right-hand sides.  Column 0 holds the IMEX data of
-all three fields and gives y; columns 1 and 2 hold unit vectors at u's L and
-R rows and give g_L and g_R.  The boundary passes only change end entries of
-the u and u_e systems, so by the Sherman-Morrison-Woodbury identity
+reaction sit side by side in one block-diagonal fem_core.BandedMatrix
+(whose band format puts zeros at the block seams), with three right-hand
+sides.  Column 0 holds the IMEX data of all three fields and gives y;
+columns 1 and 2 hold unit vectors at u's L and R rows and give g_L and g_R.
+The boundary passes only change end entries of the u and u_e systems, so by
+the Sherman-Morrison-Woodbury identity
 
     u   = y_u + alpha g_L + beta g_R      (2x2 system in alpha, beta)
     u_e = y_e + beta_e g_e                (scalar Sherman-Morrison update)
@@ -48,8 +49,9 @@ The PMCA, NCX and SERCA laws and their slopes come from channel_flux
 (outer_pumps, serca_pump); this module only places them in the boundary rows.
 
 A run steps in place: run_simulation's _Stepper owns the stacked fields
-w = (u, b, u_e), the (3, N) bands (the u_e block never changes), the Fortran
-(N, 3) right-hand side, and the scale, data, product and clamp buffers.
+w = (u, b, u_e), the step's BandedMatrix (the u_e block never changes), the
+Fortran (N, 3) right-hand side, and the scale, data, product and clamp
+buffers.
 After each step two reduceat calls bound all three fields at once: they are
 the range check (NaN fails it), the observer's u maximum, and the minima that
 the next step's clamp reads.  Values in [-1e-8, 0) are clamped to zero for
@@ -212,24 +214,14 @@ class SimState:
     er_mesh: Mesh1D
 
 
-def _by_column(mat: BandedMatrix) -> np.ndarray:
-    """Bands as a (3, n) array indexed by matrix column; see _System."""
-    cols = np.zeros((3, mat.dim))
-    cols[0, :-1] = mat.lower
-    cols[1] = mat.diag
-    cols[2, 1:] = mat.upper
-    return cols
-
-
 @dataclass
 class _System:
     """Stacked bands of the u, b and u_e solves, fixed for a given config.
 
     The unknowns (u, b, u_e) sit side by side in one vector of length
-    N = 2 n_c + n_e.  Band arrays are (3, N) and indexed by matrix column:
-    row 0, column j holds entry (j+1, j), row 1 the diagonal, row 2,
-    column j holds entry (j-1, j).  Entries that would couple two blocks are
-    zero, so a reaction term M diag(s) is the column scaling band * s.
+    N = 2 n_c + n_e.  Band arrays are (3, N) in the layout of
+    fem_core.BandedMatrix.bands, the three blocks stacked with np.hstack, so
+    a reaction term M diag(s) is the column scaling band * s.
     """
 
     cyto: Mesh1D
@@ -245,8 +237,8 @@ def build_system(cfg: SimConfig) -> _System:
     cyto = build_mesh(cfg.er_radius, cfg.cell_radius, cfg.cyto_elements)
     er = build_mesh(0.0, cfg.er_radius, cfg.er_elements)
     assemble = (fem_core.assemble_mass, fem_core.assemble_stiffness, fem_core.assemble_convection)
-    mass_c, stiff_c, conv_c = (_by_column(f(cyto)) for f in assemble)
-    mass_e, stiff_e, conv_e = (_by_column(f(er)) for f in assemble)
+    mass_c, stiff_c, conv_c = (f(cyto).bands for f in assemble)
+    mass_e, stiff_e, conv_e = (f(er).bands for f in assemble)
     n_c, n_e = cyto.num_nodes, er.num_nodes
 
     static = np.hstack(
@@ -260,8 +252,8 @@ def build_system(cfg: SimConfig) -> _System:
         static[1, n_c - 1] += cfg.plasma.leak
     unit_l = np.zeros(n_e)
     unit_l[-1] = 1.0
-    e = static[:, 2 * n_c :]
-    g_e = solve_tridiagonal(e[0, :-1], e[1], e[2, 1:], unit_l)
+    e = BandedMatrix(static[:, 2 * n_c :])
+    g_e = solve_tridiagonal(e.lower, e.diag, e.upper, unit_l)
     react_mass = np.hstack((mass_c, mass_c))
     return _System(cyto, er, static, react_mass, np.hstack((react_mass, mass_e)), g_e)
 
@@ -289,13 +281,12 @@ class _Stepper:
         n_c = self.n_c = system.cyto.num_nodes
         self.w = np.concatenate((u, b, ue))
         self.starts = np.array([0, n_c, 2 * n_c])
-        self.bands = system.static.copy()  # the u_e block never changes
-        self.solve_bands = (self.bands[0, :-1], self.bands[1], self.bands[2, 1:])
+        self.matrix = BandedMatrix(system.static.copy())  # the u_e block never changes
         self.rhs = np.zeros((self.w.size, 3), order="F")
         self.rhs[0, 1] = self.rhs[n_c - 1, 2] = 1.0  # unit data at u's L and R rows
         self.scale = np.empty(2 * n_c)
         self.data, self.clamped = np.empty((2, self.w.size))
-        self.prod = np.empty_like(self.bands)
+        self.prod = np.empty_like(system.static)
         self.fields = tuple(np.split(self.w, self.starts[1:]))  # views of u, b, u_e
         self.lows = np.minimum.reduceat(self.w, self.starts).tolist()
         self.u_max = float(self.w[:n_c].max())
@@ -329,7 +320,8 @@ class _Stepper:
         np.multiply(b_old, bf.bind_rate, out=scale[:n_c])
         np.multiply(old[:n_c], bf.bind_rate, out=scale[n_c:])
         scale[n_c:] += bf.unbind_rate
-        ub = self.bands[:, : 2 * n_c]
+        mat = self.matrix
+        ub = mat.bands[:, : 2 * n_c]
         np.multiply(sys_.react_mass, scale, out=ub)
         ub += sys_.static[:, : 2 * n_c]
         data = np.divide(w, dt, out=self.data)
@@ -342,7 +334,7 @@ class _Stepper:
         y[1:] += prod[0, :-1]
         if cfg.plasma_enabled:
             y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
-        x = solve_tridiagonal(*self.solve_bands, self.rhs)
+        x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, self.rhs)
 
         # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
         # and PMCA/NCX at u_R and solves the 2x2 system for (alpha, beta)

@@ -30,7 +30,6 @@ CRC32 trailer); see save_weights / load_weights.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .errors import CorruptFileError, ShapeMismatchError, StateInvariantError
 LAYER_SIZES = (3, 200, 64, 16, 1)
 PARAMETER_COUNT = 14721  # sum over layers of (fan_in + 1) * fan_out
 FORWARD_BLOCK_ROWS = 1024  # forward's row block for large inputs
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 WEIGHTS_MAGIC = b"CWNN"
 WEIGHTS_VERSION = 1
 
@@ -73,7 +73,7 @@ class NetworkParams:
 
     @classmethod
     def _wrap(cls, theta: np.ndarray) -> "NetworkParams":
-        """Views into theta with no checks (gradients, copies of checked parameters)."""
+        """Views into theta with no checks (gradient buffers)."""
         params = cls.__new__(cls)
         params._bind(theta)
         return params
@@ -87,9 +87,6 @@ class NetworkParams:
             pos += fan_out * fan_in
             self.biases.append(theta[pos : pos + fan_out])
             pos += fan_out
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams._wrap(self.theta.copy())
 
 
 class _Workspace:
@@ -213,29 +210,19 @@ def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | N
 
 @dataclass
 class AdamState:
-    """Flat first/second moment vectors (laid out like theta) plus hyperparameters."""
+    """Flat first/second moment vectors (laid out like theta), step count and learning rate."""
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(learning_rate: float = 1e-3) -> AdamState:
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
-    if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-        raise ValueError("betas must lie in [0, 1)")
     zeros = np.zeros(PARAMETER_COUNT)
-    return AdamState(zeros, zeros.copy(), 0, learning_rate, beta1, beta2, epsilon)
+    return AdamState(zeros, zeros.copy(), learning_rate)
 
 
 def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState):
@@ -250,7 +237,7 @@ def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState):
     """
     g = grads.theta
     t = state.step + 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
     m, v, theta = state.m, state.v, params.theta
@@ -295,15 +282,14 @@ def train(
     batch_size: int = 640,
     validation_fraction: float = 0.10,
     seed: int = 0,
-    adam: AdamState | None = None,
-    params: NetworkParams | None = None,
+    learning_rate: float = 1e-3,
 ):
     """Minibatch Adam training; returns (params, LossHistory).
 
     The epoch training loss is the sample-weighted mean of minibatch losses
     (each evaluated before its update); the validation loss is a full pass at
-    the end of the epoch over the held-out trailing split.  The updates run
-    in place on copies, so the params and adam passed in are left unchanged.
+    the end of the epoch over the held-out trailing split.  Training starts
+    from init_network(seed) and fresh Adam moments.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -313,12 +299,9 @@ def train(
     if not 0.0 <= validation_fraction < 1.0:
         raise ValueError("validation_fraction must lie in [0, 1)")
 
+    state = init_adam(learning_rate)
     rng = np.random.default_rng(seed)
-    params = init_network(seed) if params is None else params.copy()
-    if adam is None:
-        state = init_adam()
-    else:
-        state = dataclasses.replace(adam, m=adam.m.copy(), v=adam.v.copy())
+    params = init_network(seed)
 
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
     train_set = samples[train_idx]

@@ -149,7 +149,7 @@ def test_c05_gradient_check():
         _, grads = sn.backward(params, batch)
         g_flat = grads.theta
         for c in rng.choice(sn.PARAMETER_COUNT, size=100, replace=False):
-            plus, minus = params.copy(), params.copy()
+            plus, minus = (sn.NetworkParams(params.weights, params.biases) for _ in range(2))
             plus.theta[c] += step
             minus.theta[c] -= step
             fd = (sn.loss(plus, batch) - sn.loss(minus, batch)) / (2 * step)

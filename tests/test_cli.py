@@ -140,6 +140,19 @@ def test_train_determinism(workdir, tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("rate", ["0", "-1e-3"])
+def test_non_positive_learning_rate_is_a_config_error(workdir, tmp_path, rate):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[network]\nlearning_rate = {rate}\n")
+    r = run_cli(
+        "train", "--data", str(workdir / "training_set_I.cwds"), "--epochs", "1",
+        "--config", str(ini), "--out", str(tmp_path), cwd=tmp_path,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "learning rate must be positive" in r.stderr
+    assert not (tmp_path / "weights.cwnn").exists()
+
+
 def test_train_missing_data_argument(tmp_path):
     r = run_cli("train", "--epochs", "1", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
@@ -175,6 +188,19 @@ def test_simulate_sidecar_identifies_the_effective_run(tmp_path):
     assert digests["a"] == digests["b"] != digests["c"]
     assert len({meta["config_sha256"] for meta in records.values()}) == 1  # the INI alone
     assert "weights" not in records["a"]
+
+
+def test_er_block_breakdown_at_small_dt_exits_3(tmp_path):
+    # the coarse ER mesh has one growing backward-Euler mode below
+    # dt = 2 / (D |lambda|); see "Known limitations" in the README
+    r = run_cli(
+        "simulate", "--channel", "zero", "--elements", "10", "--dt", "0.00001",
+        "--t-end", "0.001", "--out", str(tmp_path), cwd=tmp_path,
+    )
+    assert r.returncode == 3, r.stderr
+    assert "ER calcium left" in r.stderr
+    assert "range [-500.47708261493153, 396.83273006795696]" in r.stderr
+    assert not (tmp_path / "simulation.csv").exists()
 
 
 def test_simulate_determinism(tmp_path):

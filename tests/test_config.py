@@ -4,18 +4,23 @@ A configuration written out in canonical form must load back to the same
 digest; any file, however malformed, must either load or raise ConfigError,
 which the CLI maps to exit code 2.  Every key must reach the program: a key
 outside [network] and [dataset] changes the solver record when perturbed, and
-the keys of those two sections are read by the commands.
+the keys of those two sections are read by the commands.  The defaults in
+SCHEMA must equal the ones written into the library's records and function
+signatures (SimConfig, preset_config, train, init_adam, build_ode_dataset),
+which the CLI bypasses and the tests rely on.
 """
 
+import inspect
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cawave import config
+from cawave import config, datasets, surrogate_net
 from cawave.config import SCHEMA, RunConfig, load_config
 from cawave.errors import ConfigError
+from cawave.hybrid_solver import PRESET_AMPLITUDES, SimConfig, StimulusSpec, preset_config
 
 CLI_SOURCE = (Path(config.__file__).parent / "cli.py").read_text()
 KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
@@ -142,3 +147,23 @@ def test_every_solver_key_reaches_sim_config(section, key):
 def test_every_command_key_is_read_by_the_cli(section, key):
     assert _perturbed(section, key).sim_config() == RunConfig().sim_config()
     assert f'"{key}"' in CLI_SOURCE
+
+
+def _defaults(fn, *names):
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names}
+
+
+def test_schema_defaults_equal_the_library_defaults():
+    defaults = load_config(None)
+    assert SimConfig() == defaults.sim_config()
+    for preset, amplitude in PRESET_AMPLITUDES.items():
+        assert preset_config(preset) == defaults.sim_config(stimulus=StimulusSpec(amplitude))
+    network, dataset = defaults.values["network"], defaults.values["dataset"]
+    assert _defaults(surrogate_net.train, *network) == network
+    assert _defaults(surrogate_net.init_adam, "learning_rate") == {
+        "learning_rate": network["learning_rate"]
+    }
+    assert _defaults(datasets.build_ode_dataset, "num_signals", "seed") == {
+        "num_signals": dataset["signals"], "seed": dataset["seed"]
+    }

@@ -36,12 +36,12 @@ def test_errors_decrease_monotonically(rows):
 
 
 def test_source_term_origin_limit():
-    d = 220.0
+    d = cv.DEFAULT_DIFFUSIVITY
     k = math.pi / cv.DOMAIN_LENGTH
-    at_zero = cv.steady_source(np.array([0.0]), d)[0]
+    at_zero = cv.steady_source(np.array([0.0]))[0]
     assert at_zero == pytest.approx(2.0 * d * k * k, rel=1e-14)
     # continuous at the origin
-    near = cv.steady_source(np.array([1e-7]), d)[0]
+    near = cv.steady_source(np.array([1e-7]))[0]
     assert near == pytest.approx(at_zero, rel=1e-6)
 
 

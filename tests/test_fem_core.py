@@ -3,10 +3,12 @@
 Mass and stiffness are checked against hand-computed element blocks, every
 regular entry of the radial convection matrix against adaptive quadrature,
 and the two finite-part entries of the origin row against both their closed
-forms and a numerical epsilon-limit of the regularized integral.  The
-tridiagonal solver (LAPACK gtsv, partial pivoting) is checked against dense
-LU on random systems with one or several right-hand sides, including zero
-and tiny leading pivots, and must reject exactly singular systems.  A
+forms and a numerical epsilon-limit of the regularized integral.  Each
+assembler must give, bit for bit and padding included, the bands that the
+per-element loops below sum up.  The tridiagonal solver (LAPACK gtsv,
+partial pivoting) is checked against dense LU on random systems with one or
+several right-hand sides, including zero and tiny leading pivots, and must
+reject exactly singular systems.  A
 block-diagonal system with zero seam entries must solve bit for bit as its
 blocks solved one by one.
 """
@@ -57,6 +59,93 @@ def convection_entry_quad(mesh, i, j):
         )
         total += val
     return total
+
+
+def stack_bands(lower, diag, upper):
+    """(3, n) bands of the three diagonals, with zero padding."""
+    return np.vstack((np.append(lower, 0.0), diag, np.insert(upper, 0, 0.0)))
+
+
+# The per-element assembly loops, kept as the bit-level reference.
+
+
+def zero_bands(mesh):
+    return np.zeros(mesh.num_nodes - 1), np.zeros(mesh.num_nodes), np.zeros(mesh.num_nodes - 1)
+
+def loop_mass(mesh):
+    lower, diag, upper = zero_bands(mesh)
+    h = mesh.h
+    for e in range(mesh.num_elements):
+        diag[e] += h / 3.0
+        diag[e + 1] += h / 3.0
+        upper[e] += h / 6.0
+        lower[e] += h / 6.0
+    return stack_bands(lower, diag, upper)
+
+
+def loop_stiffness(mesh):
+    lower, diag, upper = zero_bands(mesh)
+    inv_h = 1.0 / mesh.h
+    for e in range(mesh.num_elements):
+        diag[e] += inv_h
+        diag[e + 1] += inv_h
+        upper[e] -= inv_h
+        lower[e] -= inv_h
+    return stack_bands(lower, diag, upper)
+
+
+def loop_convection(mesh):
+    lower, diag, upper = zero_bands(mesh)
+    nodes = mesh.nodes
+    for e in range(mesh.num_elements):
+        a = float(nodes[e])
+        b = float(nodes[e + 1])
+        h = b - a
+        if e == 0 and mesh.touches_origin:  # finite part of the left-hat integral
+            j_left = math.log(h) - 1.0
+            j_right = 1.0
+        else:
+            log_ba = math.log(b / a)
+            j_left = (b * log_ba - h) / h
+            j_right = (h - a * log_ba) / h
+        inv_h = 1.0 / h
+        diag[e] += -j_left * inv_h
+        upper[e] += j_left * inv_h
+        lower[e] += -j_right * inv_h
+        diag[e + 1] += j_right * inv_h
+    return stack_bands(lower, diag, upper)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    num_elements=st.integers(1, 200),
+    r_start=st.just(0.0) | st.floats(1e-3, 10.0),
+    length=st.floats(1e-2, 10.0),
+)
+def test_assemblers_match_per_element_loops(num_elements, r_start, length):
+    mesh = fem_core.build_mesh(r_start, r_start + length, num_elements)
+    for assemble, loop in (
+        (fem_core.assemble_mass, loop_mass),
+        (fem_core.assemble_stiffness, loop_stiffness),
+        (fem_core.assemble_convection, loop_convection),
+    ):
+        assert assemble(mesh).bands.tobytes() == loop(mesh).tobytes(), assemble.__name__
+
+
+def test_banded_matrix_views_and_layout():
+    bands = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0], [0.0, 6.0, 7.0]])
+    mat = fem_core.BandedMatrix(bands)
+    assert mat.bands is bands
+    for view in (mat.lower, mat.diag, mat.upper):
+        assert np.shares_memory(view, bands)
+    assert np.array_equal(mat.to_dense(), [[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]])
+    for bad in ((0, 2), (2, 0)):  # a nonzero padding entry
+        padded = bands.copy()
+        padded[bad] = 1.0
+        with pytest.raises(ValueError, match="padding"):
+            fem_core.BandedMatrix(padded)
+    with pytest.raises(ValueError):
+        fem_core.BandedMatrix(np.zeros((2, 3)))
 
 
 def test_mesh_properties():
@@ -183,7 +272,7 @@ def test_solve_banded_against_dense():
         lower = rng.uniform(-1, 1, n - 1)
         upper = rng.uniform(-1, 1, n - 1)
         diag = rng.uniform(4, 5, n)  # diagonally dominant
-        mat = fem_core.BandedMatrix(lower, diag, upper)
+        mat = fem_core.BandedMatrix(stack_bands(lower, diag, upper))
         rhs = rng.uniform(-2, 2, n)
         x = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
         assert_allclose(x, np.linalg.solve(mat.to_dense(), rhs), rtol=1e-12, atol=1e-14)
@@ -193,7 +282,7 @@ def test_solve_banded_against_dense():
 def test_solver_pivot_fallback():
     # leading pivot is zero but the matrix is regular: partial pivoting swaps
     # the first two rows instead of dividing by zero
-    mat = fem_core.BandedMatrix(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0]))
+    mat = fem_core.BandedMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 1.0]]))
     rhs = np.array([1.0, 2.0, 3.0])
     x = fem_core.solve_tridiagonal(mat.lower, mat.diag, mat.upper, rhs)
     assert_allclose(mat.to_dense() @ x, rhs, atol=1e-12)
@@ -209,7 +298,7 @@ def test_solver_rejects_singular():
 
 def test_matvec_matches_dense():
     rng = np.random.default_rng(3)
-    mat = fem_core.BandedMatrix(rng.normal(size=5), rng.normal(size=6), rng.normal(size=5))
+    mat = fem_core.BandedMatrix(stack_bands(rng.normal(size=5), rng.normal(size=6), rng.normal(size=5)))
     x = rng.normal(size=6)
     assert_allclose(mat.matvec(x), mat.to_dense() @ x, rtol=1e-14)
 
@@ -245,7 +334,7 @@ def test_solve_tridiagonal_matches_dense_solve(system, lead, extra):
         diag = diag.copy()
         diag[0] = lead
     rhs = _with_columns(rhs, extra)
-    dense = fem_core.BandedMatrix(lower, diag, upper).to_dense()
+    dense = fem_core.BandedMatrix(stack_bands(lower, diag, upper)).to_dense()
     cond = np.linalg.cond(dense)
     assume(cond < 1e8)
     x = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
