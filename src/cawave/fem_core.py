@@ -22,9 +22,12 @@ vanishes at the origin.
 
 Mass and stiffness matrices are the familiar unweighted P1 element matrices;
 no r-weight appears in any inner product.  All matrices are tridiagonal and
-are solved by LAPACK's gtsv, Gaussian elimination with partial pivoting.
-Everything in this module is pure: functions return fresh arrays and never
-mutate their inputs.
+are solved by Gaussian elimination with partial pivoting, in one of two ways.
+An operator that changes from call to call takes the one-shot solve,
+solve_tridiagonal (LAPACK gtsv).  A constant operator is factored once,
+TridiagonalFactor (gttrf), and each right-hand side then costs one gttrs
+call; both give the same bits.  Everything in this module is pure: functions
+return fresh arrays and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import SingularMatrixError
 
@@ -178,3 +181,37 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if info != 0:
         raise SingularMatrixError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
     return x
+
+
+class TridiagonalFactor:
+    """LU factors of a constant tridiagonal matrix, for many right-hand sides.
+
+    One LAPACK gttrf call at construction, with the partial pivoting of
+    solve_tridiagonal; solve then costs one gttrs call and returns the same
+    bits as solve_tridiagonal would.  The gttrf wrapper wants n >= 3, so a
+    smaller matrix gets decoupled unit rows appended: by the block-seam
+    property of solve_tridiagonal they leave its solution bit for bit alone.
+    """
+
+    def __init__(self, lower, diag, upper):
+        self._n = len(diag)
+        self._pad = max(0, 3 - self._n)
+        if self._pad:
+            seam = np.zeros(self._pad)
+            lower, upper = np.concatenate((lower, seam)), np.concatenate((upper, seam))
+            diag = np.concatenate((diag, np.ones(self._pad)))
+        *self._factors, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise SingularMatrixError(f"tridiagonal factorization failed: LAPACK gttrf info = {info}")
+
+    def solve(self, rhs) -> np.ndarray:
+        """x with A x = rhs; rhs may be (n,) or (n, k) and is left untouched.
+
+        gttrs reports only malformed arguments, which the wrapper rejects
+        first, so its info is not read.
+        """
+        if not self._pad:
+            return dgttrs(*self._factors, rhs)[0]
+        # the appended unit rows take zero right-hand sides
+        padded = np.concatenate((rhs, np.zeros((self._pad,) + np.shape(rhs)[1:])))
+        return dgttrs(*self._factors, padded)[0][: self._n]

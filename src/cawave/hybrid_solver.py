@@ -491,10 +491,10 @@ def run_simulation(cfg: SimConfig) -> SimOutput:
 
 def write_simulation_csv(path, output: SimOutput) -> None:
     """Observer series as CSV with 17 significant digits per value."""
+    rows = zip(output.times, output.u_r, output.u_l, output.ue_l, output.p)
     with open(path, "w") as fh:
         fh.write("t,u_R,u_L,ue_L,P\n")
-        for row in zip(output.times, output.u_r, output.u_l, output.ue_l, output.p):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 def preset_config(name: str, **overrides) -> SimConfig:

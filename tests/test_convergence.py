@@ -1,4 +1,5 @@
-"""Manufactured-solution study: rates, monotonicity, and the source term."""
+"""Manufactured-solution study: rates, monotonicity, the source term, and
+the factored transient loop against one solve per step."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cawave import convergence as cv
+from cawave import fem_core
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +66,29 @@ def test_csv_output(tmp_path, rows):
     first = lines[1].split(",")
     assert first[0] == "steady" and first[4] == ""  # no order on the coarsest
     assert float(lines[2].split(",")[4]) >= 1.9
+
+
+def per_step_transient_error(num_elements):
+    """The transient case as one gtsv solve per step, kept as the reference."""
+    mesh = fem_core.build_mesh(0.0, cv.DOMAIN_LENGTH, num_elements)
+    mass = fem_core.assemble_mass(mesh)
+    diffusion = cv.DEFAULT_DIFFUSIVITY * (
+        fem_core.assemble_stiffness(mesh).bands - fem_core.assemble_convection(mesh).bands
+    )
+    num_steps = num_elements * num_elements
+    dt = cv.TRANSIENT_HORIZON / num_steps
+    op = fem_core.BandedMatrix(mass.bands / dt + diffusion)
+    profile = cv.exact_steady(mesh.nodes)
+    forcing = cv.steady_source(mesh.nodes) - profile
+    w = profile.copy()
+    for n in range(1, num_steps + 1):
+        source = math.exp(-n * dt) * forcing
+        w = fem_core.solve_tridiagonal(op.lower, op.diag, op.upper, mass.matvec(w / dt + source))
+    err = w - math.exp(-cv.TRANSIENT_HORIZON) * profile
+    return float(math.sqrt(err @ mass.matvec(err)))
+
+
+@pytest.mark.parametrize("num_elements", range(1, 13))
+def test_factored_transient_equals_per_step_solves(num_elements):
+    # n = 1 element is a 2-node system, below the size the gttrf wrapper takes
+    assert cv.transient_case_error(num_elements) == per_step_transient_error(num_elements)

@@ -10,7 +10,9 @@ partial pivoting) is checked against dense LU on random systems with one or
 several right-hand sides, including zero and tiny leading pivots, and must
 reject exactly singular systems.  A
 block-diagonal system with zero seam entries must solve bit for bit as its
-blocks solved one by one.
+blocks solved one by one.  The factored solve (gttrf once, gttrs per
+right-hand side) must give the one-shot solve's bits, reject the same
+singular systems when it factors, and leave its inputs untouched.
 """
 
 import math
@@ -370,6 +372,35 @@ def test_block_diagonal_solve_equals_separate_solves(blocks, zero_lead, extra):
 
 
 @PROPERTY_SETTINGS
+@given(
+    system=st.integers(1, 3).flatmap(_bands) | TRIDIAGONAL_SYSTEMS,
+    lead=st.sampled_from([None, 0.0, 1e-300, -1e-17]),
+    extra=st.sampled_from([None, 0, 2]),  # 1-D, or k = 1 or 3 columns
+)
+def test_factored_solve_equals_one_shot_solve(system, lead, extra):
+    lower, diag, upper, rhs = system
+    if lead is not None:  # a zero or tiny leading pivot forces a row swap
+        diag = diag.copy()
+        diag[0] = lead
+    rhs_list = [_with_columns(rhs * scale, extra) for scale in (1.0, -3.5, 1e-3)]
+    inputs = (lower, diag, upper, *rhs_list)
+    before = [a.copy() for a in inputs]
+    try:
+        expected = [fem_core.solve_tridiagonal(lower, diag, upper, b) for b in rhs_list]
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            fem_core.TridiagonalFactor(lower, diag, upper)
+        return
+    factor = fem_core.TridiagonalFactor(lower, diag, upper)
+    for b, x in zip(rhs_list, expected):  # one factor serves every right-hand side
+        solved = factor.solve(b)
+        assert solved.shape == b.shape
+        assert solved.tobytes() == x.tobytes()
+    for now, then in zip(inputs, before):
+        assert now.tobytes() == then.tobytes()
+
+
+@PROPERTY_SETTINGS
 @given(system=TRIDIAGONAL_SYSTEMS, k=st.integers(0, 39), zero=st.sampled_from(["row", "column"]))
 def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
     lower, diag, upper, rhs = (a.copy() for a in system)
@@ -383,3 +414,5 @@ def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
         after[k] = 0.0
     with pytest.raises(SingularMatrixError):
         fem_core.solve_tridiagonal(lower, diag, upper, rhs)
+    with pytest.raises(SingularMatrixError, match="gttrf"):  # the factored solve, when it factors
+        fem_core.TridiagonalFactor(lower, diag, upper)

@@ -5,6 +5,10 @@ misleads the reader about a module's dependencies.  The check walks each
 module's AST: a name bound by an import must appear as a loaded Name (or the
 root of an attribute chain).  Exempt are ``from __future__`` imports and the
 names that ``cawave/__init__.py`` re-exports through ``__all__``.
+
+LAPACK is reached from ``fem_core`` alone: no other package module imports
+``scipy.linalg.lapack``, so the tridiagonal solve stays one concept in one
+module.
 """
 
 import ast
@@ -13,7 +17,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "cawave").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "cawave").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+LAPACK = "scipy.linalg.lapack"
 
 
 def _exported(tree) -> set:
@@ -58,3 +64,33 @@ def test_detects_an_unused_import(tmp_path):
         "print(os.path.sep, loads)\n"
     )
     assert unused_imports(module) == ["dumps (line 4)", "math (line 2)"]
+
+
+def imports_lapack(path: Path) -> list:
+    """Lines that import scipy.linalg.lapack or a name from it, in any form."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+        else:
+            continue
+        if any(m == LAPACK or m.startswith(LAPACK + ".") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_fem_core_imports_lapack():
+    importers = [path.name for path in PACKAGE if imports_lapack(path)]
+    assert importers == ["fem_core.py"]
+
+
+def test_detects_a_lapack_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import scipy.linalg.lapack\nfrom scipy.linalg import lapack\n"
+        "from scipy.linalg.lapack import dgtsv\nimport scipy.linalg as sl\n"
+        "from scipy.linalg import solve_banded\nfrom . import lapack\n"
+    )
+    assert imports_lapack(module) == [1, 2, 3]
