@@ -93,15 +93,15 @@ def cmd_gen_data(args) -> int:
     else:
         if args.signals is not None:
             raise ConfigError("--signals only applies to --set ode")
-        series = (
+        corpus = (
             datasets.gen_training_set_I()
             if args.set == "artificial-1"
             else datasets.gen_training_set_II()
         )
-        samples = datasets.series_to_samples(series)
+        samples = datasets.difference_samples(*corpus)
         stem = "training_set_I" if args.set == "artificial-1" else "training_set_II"
         path = os.path.join(args.out, f"{stem}.cwds")
-        print(f"{args.set}: {len(series)} series, {samples.shape[0]} samples")
+        print(f"{args.set}: {len(corpus[0])} series, {samples.shape[0]} samples")
     datasets.save_samples(path, samples)
     _write_sidecar(path, "gen-data", cfg, seed)
     print(f"wrote {path}")
@@ -117,10 +117,7 @@ def cmd_train(args) -> int:
     cfg = _prepare(args)
     net = cfg.values["network"]
     epochs = args.epochs if args.epochs is not None else net["epochs"]
-    batch_size = args.batch_size if args.batch_size is not None else net["batch_size"]
-    val_fraction = (
-        args.val_fraction if args.val_fraction is not None else net["validation_fraction"]
-    )
+    batch_size, val_fraction = net["batch_size"], net["validation_fraction"]
     seed = net["seed"]
 
     samples = datasets.load_samples(args.data)
@@ -254,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train the gating surrogate")
     p.add_argument("--data", required=True, metavar="PATH", help="CWDS sample file")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--val-fraction", type=float)
     p.add_argument("--subset", type=int, help="train on a seeded random sample subset")
     p.set_defaults(func=cmd_train)
 

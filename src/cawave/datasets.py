@@ -11,9 +11,11 @@ Three families of labeled series are produced:
   signal is twice as large, P's decay is stretched, and P never increases
   while the rising signal exceeds 1 uM.
 
-Every series is reduced to supervised samples (P_{n-1}, u_{n-1}, du/dt) ->
-dP/dt with forward differences over the series step.  Sample blocks travel in
-a binary container (magic "CWDS", little-endian, CRC32 trailer) or CSV.
+Every corpus is a pair of (K, T) blocks, P and u with one series per row on
+one time grid.  difference_samples reduces a corpus to supervised samples
+(P_{n-1}, u_{n-1}, du/dt) -> dP/dt with forward differences over the grid
+step.  Sample blocks travel in a binary container (magic "CWDS",
+little-endian, CRC32 trailer) or CSV.
 """
 
 from __future__ import annotations
@@ -38,29 +40,6 @@ SAMPLES_MAGIC = b"CWDS"
 SAMPLES_VERSION = 1
 
 
-@dataclass
-class LabeledSeries:
-    """A calcium signal with its gating response on a uniform time grid."""
-
-    times: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        if not (self.times.shape == self.u.shape == self.p.shape):
-            raise ValueError("times, u, p must share one shape")
-        if self.times.shape[0] < 2:
-            raise ValueError("series needs at least two samples")
-        if np.any(self.p < -1e-12) or np.any(self.p > 1.0 + 1e-12):
-            raise ValueError("P labels leave [0, 1]")
-        if np.any(self.u < 0.0):
-            raise ValueError("negative calcium in series")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
 def difference_samples(p: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     """Forward-difference samples (P, u, du/dt) -> dP/dt of series along the last axis.
 
@@ -76,37 +55,43 @@ def signal_times() -> np.ndarray:
     return np.linspace(0.0, SIGNAL_WINDOW, n)
 
 
-def gen_cosine_signal(amplitude: float, duration: float) -> np.ndarray:
-    """Raised-cosine pulse centred in the sampling window, resting elsewhere."""
-    if not BASELINE <= amplitude <= 30.0:
-        raise ValueError(f"amplitude {amplitude} outside [{BASELINE}, 30]")
-    if not 0.0 < duration <= SIGNAL_WINDOW:
-        raise ValueError(f"duration {duration} outside (0, {SIGNAL_WINDOW}]")
+def gen_cosine_signal(amplitude, duration) -> np.ndarray:
+    """Raised-cosine pulses centred in the sampling window, resting elsewhere.
+
+    amplitude and duration broadcast against each other; the pulses are laid
+    out in their broadcast shape with time as the last axis.
+    """
+    amplitude = np.asarray(amplitude, dtype=float)[..., None]
+    duration = np.asarray(duration, dtype=float)[..., None]
+    # written as "not all inside" so that a NaN entry fails the check
+    if not np.all((amplitude >= BASELINE) & (amplitude <= 30.0)):
+        raise ValueError(f"an amplitude lies outside [{BASELINE}, 30]")
+    if not np.all((duration > 0.0) & (duration <= SIGNAL_WINDOW)):
+        raise ValueError(f"a duration lies outside (0, {SIGNAL_WINDOW}]")
     t = signal_times()
     center = SIGNAL_WINDOW / 2.0
-    u = np.full(t.shape, BASELINE)
-    inside = np.abs(t - center) <= duration / 2.0
-    bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (t[inside] - center) / duration))
-    u[inside] = BASELINE + (amplitude - BASELINE) * bump
-    return u
+    # outside a tiny pulse the phase may overflow; np.where discards it there
+    with np.errstate(over="ignore", invalid="ignore"):
+        bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (t - center) / duration))
+    return np.where(np.abs(t - center) <= duration / 2.0, BASELINE + (amplitude - BASELINE) * bump, BASELINE)
 
 
 def _skewed_cosine(t, peak_time, rise, fall, height, baseline=0.0):
-    """C1 bump: cosine quarter-waves with different rise and fall half-widths."""
-    y = np.full(t.shape, baseline)
-    left = (t >= peak_time - rise) & (t <= peak_time)
-    y[left] = baseline + height * 0.5 * (1.0 + np.cos(np.pi * (t[left] - peak_time) / rise))
-    right = (t > peak_time) & (t <= peak_time + fall)
-    y[right] = baseline + height * 0.5 * (1.0 + np.cos(np.pi * (t[right] - peak_time) / fall))
-    return y
+    """C1 bump: cosine quarter-waves with different rise and fall half-widths.
+
+    peak_time, rise and fall broadcast against t; the result has their shape.
+    """
+    left = baseline + height * 0.5 * (1.0 + np.cos(np.pi * (t - peak_time) / rise))
+    right = baseline + height * 0.5 * (1.0 + np.cos(np.pi * (t - peak_time) / fall))
+    y = np.where((t > peak_time) & (t <= peak_time + fall), right, baseline)
+    return np.where((t >= peak_time - rise) & (t <= peak_time), left, y)
 
 
 def grid_signals():
-    """(amplitude, duration) pairs of the full corpus grid, amplitude-major."""
+    """Amplitudes and durations of the full corpus grid, (26000,) each, amplitude-major."""
     amps = np.linspace(*AMPLITUDE_RANGE, GRID_SHAPE[0])
     durs = np.linspace(*DURATION_RANGE, GRID_SHAPE[1])
-    pairs = [(a, d) for a in amps for d in durs]
-    return pairs
+    return np.repeat(amps, durs.size), np.tile(durs, amps.size)
 
 
 def label_signals(
@@ -147,74 +132,59 @@ def build_ode_dataset(
     Work is split into per-thread signal chunks whose results are concatenated
     in enumeration order: the output is identical for any thread count.
     """
-    pairs = grid_signals()
-    total = len(pairs)
+    amps, durs = grid_signals()
+    total = amps.size
     if not 1 <= num_signals <= total:
         raise ValueError(f"num_signals must lie in [1, {total}], got {num_signals}")
     if num_signals < total:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(total, size=num_signals, replace=False))
-        pairs = [pairs[i] for i in idx]
-    u_block = np.stack([gen_cosine_signal(a, d) for a, d in pairs])
+        amps, durs = amps[idx], durs[idx]
+    u_block = gen_cosine_signal(amps, durs)
     dt = SIGNAL_DT
 
-    if threads <= 1 or len(pairs) < 2 * threads:
+    if threads <= 1 or num_signals < 2 * threads:
         p_block = label_signals(u_block, dt, FULLY_CLOSED_STATE, rates)
     else:
-        chunks = np.array_split(np.arange(len(pairs)), threads)
+        chunks = np.array_split(np.arange(num_signals), threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda c: label_signals(u_block[c], dt, FULLY_CLOSED_STATE, rates), chunks))
         p_block = np.concatenate(parts, axis=0)
     return difference_samples(p_block, u_block, dt)
 
 
-def gen_training_set_I() -> list:
+def gen_training_set_I():
     """121 unit-pulse pairs on [-2, 2]: P peaks before u and dies out earlier.
 
     The gating response is a raised cosine whose peak leads the calcium peak
     by 0.1-0.6 s (snapped to the 0.02 s grid so the sampled maximum is exactly
     1) and whose half-width is a 0.3-0.8 fraction of the remaining span.
+    Returns (p, u, dt): (121, 201) blocks, lead-major, and the series step.
     """
-    dt = 0.02
     t = np.linspace(-2.0, 2.0, 201)
     u = 0.5 * (1.0 + np.cos(np.pi * t / 2.0))
-    series = []
-    for lead in np.linspace(0.1, 0.6, 11):
-        lead_s = round(lead / dt) * dt  # grid-aligned peak
-        for width in np.linspace(0.3, 0.8, 11):
-            half = width * (2.0 - lead_s)
-            p = np.where(
-                np.abs(t + lead_s) <= half,
-                0.5 * (1.0 + np.cos(np.pi * (t + lead_s) / half)),
-                0.0,
-            )
-            series.append(LabeledSeries(t.copy(), u.copy(), p))
-    return series
+    lead = np.round(np.linspace(0.1, 0.6, 11) / 0.02)[:, None, None] * 0.02  # grid-aligned peak
+    half = np.linspace(0.3, 0.8, 11)[:, None] * (2.0 - lead)
+    p = np.where(np.abs(t + lead) <= half, 0.5 * (1.0 + np.cos(np.pi * (t + lead) / half)), 0.0)
+    p = p.reshape(-1, t.size)
+    return p, np.broadcast_to(u, p.shape), float(t[1] - t[0])
 
 
-def gen_training_set_II() -> list:
+def gen_training_set_II():
     """200 pairs on [-4, 4] with u peaking at 2 uM.
 
     P peaks before the rising signal crosses 1 uM (at t = -2) and its decay
     side is stretched 1.5x relative to the rise, so P is strictly
     non-increasing wherever the rising signal exceeds 1 and every response
     outlasts its first-set counterpart with the same width parameter.
+    Returns (p, u, dt): (200, 201) blocks, lead-major, and the series step.
     """
     t = np.linspace(-4.0, 4.0, 201)
     u = 1.0 + np.cos(np.pi * t / 4.0)
-    series = []
-    for lead in np.linspace(0.1, 0.6, 20):
-        peak_time = -2.0 - lead
-        for width in np.linspace(0.3, 0.8, 10):
-            rise = width * (2.0 - lead)
-            p = _skewed_cosine(t, peak_time, rise, 1.5 * rise, 1.0)
-            series.append(LabeledSeries(t.copy(), u.copy(), p))
-    return series
-
-
-def series_to_samples(series_list) -> np.ndarray:
-    """Concatenate per-series forward-difference samples, series order kept."""
-    return np.concatenate([difference_samples(s.p, s.u, s.dt) for s in series_list], axis=0)
+    lead = np.linspace(0.1, 0.6, 20)[:, None, None]
+    rise = np.linspace(0.3, 0.8, 10)[:, None] * (2.0 - lead)
+    p = _skewed_cosine(t, -2.0 - lead, rise, 1.5 * rise, 1.0).reshape(-1, t.size)
+    return p, np.broadcast_to(u, p.shape), float(t[1] - t[0])
 
 
 @dataclass(frozen=True)
@@ -265,8 +235,8 @@ def load_samples(path) -> np.ndarray:
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:
-    samples = np.asarray(samples, dtype=float)
+    """Sample rows as CSV with 17 significant digits per value."""
+    rows = zip(*np.asarray(samples, dtype=float).T)
     with open(path, "w") as fh:
-        fh.write(",".join(("p_prev", "u_prev", "dudt", "dpdt")) + "\n")
-        for row in samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("p_prev,u_prev,dudt,dpdt\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)

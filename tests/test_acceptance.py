@@ -213,7 +213,7 @@ def test_c08_desk_scale_surrogate():
 
 
 def test_c09_surrogate_dt_insensitivity():
-    samples = ds.series_to_samples(ds.gen_training_set_I())
+    samples = ds.difference_samples(*ds.gen_training_set_I())
     params, _ = sn.train(samples, epochs=100, batch_size=640, validation_fraction=0.10, seed=1)
     peaks, durations = [], []
     for dt in (1.0 / 80, 1.0 / 160):

@@ -6,11 +6,15 @@ hit them.
 """
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from cawave import cli
 
 BASE = [sys.executable, "-m", "cawave"]
 
@@ -76,6 +80,28 @@ def test_gen_data_signals_flag_misuse(tmp_path):
     )
     assert r.returncode == 2, r.stderr
     assert "--signals" in r.stderr
+
+
+def readme_commands():
+    """Arguments of every `cawave ...` line in the README's code blocks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in readme.split("```")[1::2]:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.split()[:1] == ["cawave"]:
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"gen-data", "train", "simulate", "convergence", "steady"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: cawave {shlex.join(argv)}")
 
 
 def test_sidecar_contents(workdir):

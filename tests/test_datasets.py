@@ -1,10 +1,12 @@
 """Training corpora: counts, shape conventions, and label semantics.
 
 The batched gating integrator is cross-checked signal by signal against the
-scalar stepper; the hand-designed series families are checked against their
-stated qualitative contracts (lead/width structure, monotone decay windows,
-exact unit peaks on the sampling grid).  The CWDS container must round-trip
-any sample block and reject every single-byte flip and every truncation.
+scalar stepper, and the broadcast block generators bit for bit against the
+per-series loops kept here.  The hand-designed series families are checked
+against their stated qualitative contracts (lead/width structure, monotone
+decay windows, exact unit peaks on the sampling grid).  The CWDS container
+must round-trip any sample block and reject every single-byte flip and every
+truncation.
 """
 
 import numpy as np
@@ -19,14 +21,123 @@ from cawave import ryr_markov as rm
 from cawave.errors import CorruptFileError, FormatVersionError
 
 
+def loop_cosine_signal(amplitude, duration):
+    """Reference pulse: one signal at a time, the bump evaluated only inside it."""
+    t = ds.signal_times()
+    center = ds.SIGNAL_WINDOW / 2.0
+    u = np.full(t.shape, ds.BASELINE)
+    inside = np.abs(t - center) <= duration / 2.0
+    bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (t[inside] - center) / duration))
+    u[inside] = ds.BASELINE + (amplitude - ds.BASELINE) * bump
+    return u
+
+
+def loop_training_set_I():
+    """Reference set I: (p, u) per series, one lead x width pair at a time."""
+    t = np.linspace(-2.0, 2.0, 201)
+    u = 0.5 * (1.0 + np.cos(np.pi * t / 2.0))
+    series = []
+    for lead in np.linspace(0.1, 0.6, 11):
+        lead_s = round(lead / 0.02) * 0.02
+        for width in np.linspace(0.3, 0.8, 11):
+            half = width * (2.0 - lead_s)
+            p = np.zeros(t.shape)
+            inside = np.abs(t + lead_s) <= half
+            p[inside] = 0.5 * (1.0 + np.cos(np.pi * (t[inside] + lead_s) / half))
+            series.append((p, u))
+    return series
+
+
+def loop_training_set_II():
+    """Reference set II, built like loop_training_set_I."""
+    t = np.linspace(-4.0, 4.0, 201)
+    u = 1.0 + np.cos(np.pi * t / 4.0)
+    series = []
+    for lead in np.linspace(0.1, 0.6, 20):
+        peak = -2.0 - lead
+        for width in np.linspace(0.3, 0.8, 10):
+            rise = width * (2.0 - lead)
+            fall = 1.5 * rise
+            p = np.zeros(t.shape)
+            left = (t >= peak - rise) & (t <= peak)
+            p[left] = 0.5 * (1.0 + np.cos(np.pi * (t[left] - peak) / rise))
+            right = (t > peak) & (t <= peak + fall)
+            p[right] = 0.5 * (1.0 + np.cos(np.pi * (t[right] - peak) / fall))
+            series.append((p, u))
+    return series
+
+
 def test_signal_grid_counts():
-    pairs = ds.grid_signals()
-    assert len(pairs) == 26000
-    amps = sorted({a for a, _ in pairs})
-    durs = sorted({d for _, d in pairs})
-    assert len(amps) == 200 and len(durs) == 130
-    assert amps[0] == 0.05 and amps[-1] == 10.0
-    assert durs[0] == 0.5 and durs[-1] == 4.0
+    amps, durs = ds.grid_signals()
+    assert amps.shape == durs.shape == (26000,)
+    assert len(np.unique(amps)) == 200 and len(np.unique(durs)) == 130
+    assert amps.min() == amps[0] == 0.05 and amps.max() == amps[-1] == 10.0
+    assert durs.min() == durs[0] == 0.5 and durs.max() == durs[-1] == 4.0
+    # amplitude-major: the durations cycle fastest
+    assert np.all(amps[:130] == 0.05) and np.array_equal(durs[:130], np.unique(durs))
+
+
+def test_block_generators_match_per_series_loops():
+    amps, durs = ds.grid_signals()
+    block = ds.gen_cosine_signal(amps, durs)
+    loop = np.stack([loop_cosine_signal(a, d) for a, d in zip(amps.tolist(), durs.tolist())])
+    assert block.tobytes() == loop.tobytes()
+    for gen, loop_gen, dt in (
+        (ds.gen_training_set_I, loop_training_set_I, 0.02),
+        (ds.gen_training_set_II, loop_training_set_II, 0.04),
+    ):
+        p, u, step = gen()
+        series = loop_gen()
+        assert step == pytest.approx(dt, rel=1e-12)
+        assert p.shape == u.shape == (len(series), 201)
+        assert p.tobytes() == np.stack([s[0] for s in series]).tobytes(), gen.__name__
+        assert u.tobytes() == np.stack([s[1] for s in series]).tobytes(), gen.__name__
+        per_series = np.concatenate([ds.difference_samples(sp, su, step) for sp, su in series])
+        assert ds.difference_samples(p, u, step).tobytes() == per_series.tobytes()
+
+
+def test_ode_signal_block_matches_per_signal_loop():
+    # the seeded subset, as build_ode_dataset draws it, labelled row by row
+    amps, durs = ds.grid_signals()
+    idx = np.sort(np.random.default_rng(3).choice(amps.size, size=25, replace=False))
+    u_block = np.stack([loop_cosine_signal(a, d) for a, d in zip(amps[idx], durs[idx])])
+    expected = np.concatenate(
+        [ds.difference_samples(ds.label_signals(u[None], ds.SIGNAL_DT)[0], u, ds.SIGNAL_DT) for u in u_block]
+    )
+    assert ds.build_ode_dataset(num_signals=25, seed=3).tobytes() == expected.tobytes()
+
+
+_AMPLITUDES = st.floats(ds.BASELINE, 30.0)
+_DURATIONS = st.floats(0.0, ds.SIGNAL_WINDOW, exclude_min=True)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    amps=st.lists(_AMPLITUDES, min_size=1, max_size=6),
+    durs=st.lists(_DURATIONS, min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_broadcast_signal_rows_equal_scalar_calls(amps, durs, data):
+    block = ds.gen_cosine_signal(np.array(amps)[:, None], np.array(durs))
+    assert block.shape == (len(amps), len(durs), ds.signal_times().size)
+    for i, a in enumerate(amps):
+        for j, d in enumerate(durs):
+            row = block[i, j].tobytes()
+            assert row == ds.gen_cosine_signal(a, d).tobytes() == loop_cosine_signal(a, d).tobytes()
+
+    # a single NaN or out-of-range entry anywhere in either array is rejected
+    which = data.draw(st.sampled_from(["amplitude", "duration"]), label="which")
+    below, above = (ds.BASELINE, 30.0) if which == "amplitude" else (0.0, ds.SIGNAL_WINDOW)
+    outside = (
+        st.just(np.nan)
+        | st.floats(max_value=below, exclude_max=which == "amplitude")
+        | st.floats(min_value=above, exclude_min=True)
+    )
+    args = {"amplitude": np.array(amps)[:, None], "duration": np.array(durs)}
+    bad = args[which]
+    bad.flat[data.draw(st.integers(0, bad.size - 1), label="at")] = data.draw(outside, label="bad")
+    with pytest.raises(ValueError, match=which):
+        ds.gen_cosine_signal(args["amplitude"], args["duration"])
 
 
 def test_signal_shape_and_baseline():
@@ -91,38 +202,36 @@ def test_ode_dataset_subset_determinism_and_threads():
 
 
 def test_training_set_one_contract():
-    series = ds.gen_training_set_I()
-    assert len(series) == 121
-    for s in series:
-        assert s.u.max() == 1.0  # unit pulse, exact on the grid
-        assert s.p.max() == 1.0  # lead snapped so the peak is sampled
-        assert np.argmax(s.p) < np.argmax(s.u)  # response leads the signal
+    p_block, u_block, _ = ds.gen_training_set_I()
+    assert len(p_block) == 121
+    for p, u in zip(p_block, u_block):
+        assert u.max() == 1.0  # unit pulse, exact on the grid
+        assert p.max() == 1.0  # lead snapped so the peak is sampled
+        assert np.argmax(p) < np.argmax(u)  # response leads the signal
         # response dies out while the signal is still positive
-        last_active = np.max(np.nonzero(s.p > 0.0))
-        assert last_active < s.p.size - 1
-        assert s.u[last_active + 1] > 0.0
-        assert np.all(s.p >= 0.0) and np.all(s.p <= 1.0)
+        last_active = np.max(np.nonzero(p > 0.0))
+        assert last_active < p.size - 1
+        assert u[last_active + 1] > 0.0
+        assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
 
 def test_training_set_two_contract():
-    series = ds.gen_training_set_II()
-    assert len(series) == 200
-    t = series[0].times
-    for s in series:
-        assert s.u.max() == pytest.approx(2.0, abs=1e-12)
-        assert np.all(s.p >= 0.0) and np.all(s.p <= 1.0)
+    p_block, u_block, dt = ds.gen_training_set_II()
+    assert len(p_block) == 200
+    t = -4.0 + dt * np.arange(p_block.shape[1])
+    for p, u in zip(p_block, u_block):
+        assert u.max() == pytest.approx(2.0, abs=1e-12)
+        assert np.all(p >= 0.0) and np.all(p <= 1.0)
         # wherever the rising signal exceeds 1 uM the response is not growing
-        window = (t <= 0.0) & (s.u > 1.0)
-        dp = np.diff(s.p)[window[:-1]]
+        window = (t <= 0.0) & (u > 1.0)
+        dp = np.diff(p)[window[:-1]]
         assert np.all(dp <= 1e-12)
 
 
-def test_series_to_samples_counts():
-    series = ds.gen_training_set_I()
-    samples = ds.series_to_samples(series)
+def test_training_set_sample_counts():
+    samples = ds.difference_samples(*ds.gen_training_set_I())
     assert samples.shape == (121 * 200, 4)
-    series2 = ds.gen_training_set_II()
-    assert ds.series_to_samples(series2).shape == (200 * 200, 4)
+    assert ds.difference_samples(*ds.gen_training_set_II()).shape == (200 * 200, 4)
 
 
 def test_difference_samples_over_the_last_axis():
