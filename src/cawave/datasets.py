@@ -73,7 +73,11 @@ def gen_cosine_signal(amplitude, duration) -> np.ndarray:
     # outside a tiny pulse the phase may overflow; np.where discards it there
     with np.errstate(over="ignore", invalid="ignore"):
         bump = 0.5 * (1.0 + np.cos(2.0 * np.pi * (t - center) / duration))
-    return np.where(np.abs(t - center) <= duration / 2.0, BASELINE + (amplitude - BASELINE) * bump, BASELINE)
+    return np.where(
+        np.abs(t - center) <= duration / 2.0,
+        BASELINE + (amplitude - BASELINE) * bump,
+        BASELINE,
+    )
 
 
 def _skewed_cosine(t, peak_time, rise, fall, height, baseline=0.0):
@@ -165,7 +169,11 @@ def gen_training_set_I():
     u = 0.5 * (1.0 + np.cos(np.pi * t / 2.0))
     lead = np.round(np.linspace(0.1, 0.6, 11) / 0.02)[:, None, None] * 0.02  # grid-aligned peak
     half = np.linspace(0.3, 0.8, 11)[:, None] * (2.0 - lead)
-    p = np.where(np.abs(t + lead) <= half, 0.5 * (1.0 + np.cos(np.pi * (t + lead) / half)), 0.0)
+    p = np.where(
+        np.abs(t + lead) <= half,
+        0.5 * (1.0 + np.cos(np.pi * (t + lead) / half)),
+        0.0,
+    )
     p = p.reshape(-1, t.size)
     return p, np.broadcast_to(u, p.shape), float(t[1] - t[0])
 
@@ -203,18 +211,16 @@ def gen_eval_signals() -> list:
     amplitudes far above the grid ceiling, one symmetric and one skewed.
     """
     t = signal_times()
-    base = BASELINE
 
     def skewed(peak_time, rise, fall, height):
-        return _skewed_cosine(t, peak_time, rise, fall, height - base, base)
+        return _skewed_cosine(t, peak_time, rise, fall, height - BASELINE, BASELINE)
 
-    signals = [
+    return [
         EvalSignal("slow-tail-0.5", t, skewed(1.4, 0.6, 1.8, 0.5), 0.5, True),
         EvalSignal("fast-tail-2.5", t, skewed(2.4, 1.2, 0.6, 2.5), 2.5, True),
         EvalSignal("symmetric-20", t, gen_cosine_signal(20.0, 3.0), 20.0, False),
         EvalSignal("slow-tail-25", t, skewed(1.2, 0.5, 1.5, 25.0), 25.0, False),
     ]
-    return signals
 
 
 def save_samples(path, samples: np.ndarray) -> None:

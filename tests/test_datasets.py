@@ -216,9 +216,9 @@ def test_training_set_one_contract():
 
 
 def test_training_set_two_contract():
-    p_block, u_block, dt = ds.gen_training_set_II()
+    p_block, u_block, _ = ds.gen_training_set_II()
     assert len(p_block) == 200
-    t = -4.0 + dt * np.arange(p_block.shape[1])
+    t = np.linspace(-4.0, 4.0, 201)  # the generator's grid, with t[100] == 0 exactly
     for p, u in zip(p_block, u_block):
         assert u.max() == pytest.approx(2.0, abs=1e-12)
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
