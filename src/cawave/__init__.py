@@ -6,87 +6,3 @@ by a four-state Markov model, a trained neural surrogate, or switched off.
 """
 
 __version__ = "1.0.0"
-
-from .channel_flux import BufferParams, ErParams, PlasmaParams, buffer_reaction, er_flux, plasma_flux
-from .errors import (
-    ConfigError,
-    CorruptFileError,
-    FileFormatError,
-    FormatVersionError,
-    NumericError,
-    ShapeMismatchError,
-    SingularMatrixError,
-    SolverDivergenceError,
-    StateInvariantError,
-)
-from .hybrid_solver import (
-    SimConfig,
-    SimOutput,
-    SimState,
-    StimulusSpec,
-    conserved_quantity,
-    make_initial_state,
-    preset_config,
-    run_simulation,
-    step_imex,
-)
-from .ryr_markov import (
-    FULLY_CLOSED_STATE,
-    RESTING_STATE,
-    MarkovRates,
-    MarkovState,
-    open_probability,
-    steady_state,
-    step_backward_euler,
-)
-from .surrogate_net import (
-    NetworkParams,
-    init_network,
-    load_weights,
-    predict_next_probability,
-    rollout_probability,
-    save_weights,
-    train,
-)
-
-__all__ = [
-    "__version__",
-    "BufferParams",
-    "ErParams",
-    "PlasmaParams",
-    "buffer_reaction",
-    "er_flux",
-    "plasma_flux",
-    "ConfigError",
-    "CorruptFileError",
-    "FileFormatError",
-    "FormatVersionError",
-    "NumericError",
-    "ShapeMismatchError",
-    "SingularMatrixError",
-    "SolverDivergenceError",
-    "StateInvariantError",
-    "SimConfig",
-    "SimOutput",
-    "SimState",
-    "StimulusSpec",
-    "conserved_quantity",
-    "make_initial_state",
-    "preset_config",
-    "run_simulation",
-    "step_imex",
-    "FULLY_CLOSED_STATE",
-    "RESTING_STATE",
-    "MarkovRates",
-    "MarkovState",
-    "open_probability",
-    "steady_state",
-    "step_backward_euler",
-    "NetworkParams",
-    "init_network",
-    "load_weights",
-    "predict_next_probability",
-    "rollout_probability",
-    "save_weights",
-    "train",
-]

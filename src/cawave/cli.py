@@ -184,6 +184,8 @@ def cmd_simulate(args) -> int:
         if args.weights is None:
             raise ConfigError("surrogate channel requires --weights")
         overrides["weights_path"] = args.weights
+    elif args.weights is not None:
+        raise ConfigError("--weights only applies to --channel surrogate")
 
     sim_cfg = cfg.sim_config(**overrides)
     output = hybrid_solver.run_simulation(sim_cfg)

@@ -26,8 +26,9 @@ are solved by Gaussian elimination with partial pivoting, in one of two ways.
 An operator that changes from call to call takes the one-shot solve,
 solve_tridiagonal (LAPACK gtsv).  A constant operator is factored once,
 TridiagonalFactor (gttrf), and each right-hand side then costs one gttrs
-call; both give the same bits.  Everything in this module is pure: functions
-return fresh arrays and never mutate their inputs.
+call; both give the same bits.  Functions return fresh arrays and never
+mutate their inputs; the one exception is BandedMatrix.matvec, which writes
+into the caller's out array when given one.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class BandedMatrix:
         self.diag = bands[1]
         self.upper = bands[2, 1:]  # entry k sits at (k, k+1)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A @ x, written into out when one is given (it must not overlap x)."""
+        y = np.multiply(self.diag, x, out=out)
         y[:-1] += self.upper * x[1:]
         y[1:] += self.lower * x[:-1]
         return y

@@ -50,8 +50,7 @@ The PMCA, NCX and SERCA laws and their slopes come from channel_flux
 
 A run steps in place: run_simulation's _Stepper owns the stacked fields
 w = (u, b, u_e), the step's BandedMatrix (the u_e block never changes), the
-Fortran (N, 3) right-hand side, and the scale, data, product and clamp
-buffers.
+Fortran (N, 3) right-hand side, and the scale, data and clamp buffers.
 After each step two reduceat calls bound all three fields at once: they are
 the range check (NaN fails it), the observer's u maximum, and the minima that
 the next step's clamp reads.  Values in [-1e-8, 0) are clamped to zero for
@@ -227,8 +226,7 @@ class _System:
     cyto: Mesh1D
     er: Mesh1D
     static: np.ndarray  # M/dt + D (K - A) per field, plasma leak on u's R row
-    react_mass: np.ndarray  # M of the u and b blocks: the first 2 n_c columns
-    mass: np.ndarray  # M of all three blocks: nodal data to right-hand side
+    mass: BandedMatrix  # M of all three blocks: nodal data to right-hand side
     g_e: np.ndarray  # static u_e matrix's response to unit data at r = L
 
 
@@ -254,8 +252,7 @@ def build_system(cfg: SimConfig) -> _System:
     unit_l[-1] = 1.0
     e = BandedMatrix(static[:, 2 * n_c :])
     g_e = solve_tridiagonal(e.lower, e.diag, e.upper, unit_l)
-    react_mass = np.hstack((mass_c, mass_c))
-    return _System(cyto, er, static, react_mass, np.hstack((react_mass, mass_e)), g_e)
+    return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))), g_e)
 
 
 def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimState:
@@ -286,7 +283,6 @@ class _Stepper:
         self.rhs[0, 1] = self.rhs[n_c - 1, 2] = 1.0  # unit data at u's L and R rows
         self.scale = np.empty(2 * n_c)
         self.data, self.clamped = np.empty((2, self.w.size))
-        self.prod = np.empty_like(system.static)
         self.fields = tuple(np.split(self.w, self.starts[1:]))  # views of u, b, u_e
         self.lows = np.minimum.reduceat(self.w, self.starts).tolist()
         self.u_max = float(self.w[:n_c].max())
@@ -322,16 +318,12 @@ class _Stepper:
         scale[n_c:] += bf.unbind_rate
         mat = self.matrix
         ub = mat.bands[:, : 2 * n_c]
-        np.multiply(sys_.react_mass, scale, out=ub)
+        np.multiply(sys_.mass.bands[:, : 2 * n_c], scale, out=ub)
         ub += sys_.static[:, : 2 * n_c]
         data = np.divide(w, dt, out=self.data)
         data[:n_c] += bf.unbind_rate * (bf.total - b_old)
         data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
-        prod = np.multiply(sys_.mass, data, out=self.prod)  # mass @ data in matvec's order
-        y = self.rhs[:, 0]
-        y[:] = prod[1]
-        y[:-1] += prod[2, 1:]
-        y[1:] += prod[0, :-1]
+        y = sys_.mass.matvec(data, out=self.rhs[:, 0])
         if cfg.plasma_enabled:
             y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
         x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, self.rhs)

@@ -1,0 +1,57 @@
+"""What the benchmark in bench/ needs of the package still exists.
+
+The benchmark drives the program from outside: bench/tracing.py wraps named
+module functions, and bench/run.py runs each workload as cawave command
+lines.  A change in src/ that renames a traced function or drops an option
+the workloads pass would break the benchmark only when it runs; these checks
+catch it in the test suite instead.  bench/run.py pins the BLAS thread
+variables when it is imported; monkeypatch sets them first so that teardown
+restores them.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import cawave
+import cawave.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import tracing
+
+    yield run, tracing
+    for name in ("run", "tracing", "checks"):
+        sys.modules.pop(name, None)
+
+
+def test_every_traced_function_exists(bench):
+    _, tracing = bench
+    solver = cawave.hybrid_solver
+    original = solver.run_simulation
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(cawave)
+        assert solver.run_simulation is not original
+    finally:
+        tracer.uninstall()
+    assert solver.run_simulation is original
+
+
+def test_every_workload_command_parses(bench, tmp_path):
+    run, _ = bench
+    parser = cawave.cli.build_parser()
+    for name, workload in run.WORKLOAD_TYPES.items():
+        for stage, argv in workload(cawave, 1).ops(str(tmp_path)):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name} {stage}: cawave {' '.join(argv)} does not parse")

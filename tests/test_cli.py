@@ -247,6 +247,16 @@ def test_simulate_surrogate_requires_weights(tmp_path):
     assert "--weights" in r.stderr
 
 
+def test_simulate_weights_need_the_surrogate_channel(tmp_path):
+    r = run_cli(
+        "simulate", "--channel", "markov", "--weights", str(tmp_path / "missing.cwnn"),
+        "--t-end", "0.1", "--out", str(tmp_path), cwd=tmp_path,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "--weights" in r.stderr
+    assert not (tmp_path / "simulation.csv").exists()
+
+
 def test_simulate_corrupt_weights(tmp_path):
     bad = tmp_path / "w.cwnn"
     bad.write_bytes(b"garbage")

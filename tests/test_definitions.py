@@ -4,11 +4,12 @@ A definition that nothing in ``src/cawave/`` or ``bench/`` names, outside its
 own body, is code only the tests reach: it costs reading and upkeep and
 serves no command.  The check walks the AST of every module: a definition
 counts as named when its name appears as a loaded name, an attribute, an
-imported name or an exact string constant (``__all__`` entries, attributes
-looked up with getattr) anywhere but inside the definition itself.  Names
-are matched, not resolved, so the check can miss dead code but never flags
-live code.  Dunders are exempt; so are the test reference implementations
-in ALLOWED, each with its reason.
+imported name or an exact string constant (attributes looked up with
+getattr) anywhere but inside the definition itself.  The strings of an
+``__all__`` assignment are not counted: listing a name for re-export does
+not use it.  Names are matched, not resolved, so the check can miss dead
+code but never flags live code.  Dunders are exempt; so are the test
+reference implementations in ALLOWED, each with its reason.
 """
 
 import ast
@@ -21,6 +22,12 @@ PROGRAM = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 ALLOWED = {
     "singular_entry_values": "closed-form finite-part entries of the origin row; the "
     "oracle that c03 and tests/test_fem_core.py compare the assembled matrix against",
+    "buffer_reaction": "pointwise unbinding minus binding of the buffer; the oracle that "
+    "c01 and tests/test_channel_flux.py check the reaction balance at rest with",
+    "conserved_quantity": "total calcium of a state; the oracle of c10's sealed-cell "
+    "conservation check and of the drift tests in tests/test_hybrid_solver.py",
+    "preset_config": "the named scenarios as SimConfig records; the solver tests build "
+    "their runs from it and tests/test_config.py checks it against the CLI's --preset path",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -41,6 +48,10 @@ def _names(node):
 
 def _walk(node, enclosing, defined, named, where):
     """Collect definitions and the names mentioned outside each one's own body."""
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    ):
+        return  # names listed for re-export are not used by being listed
     if isinstance(node, DEFINITIONS):
         defined.append((node.name, f"{where}:{node.lineno}"))
         enclosing = enclosing | {node.name}
@@ -82,9 +93,11 @@ def test_detects_an_unnamed_definition(tmp_path):
         "    def read(self):\n        return self.v\n\n"
         "    def spare(self):\n        return Box().read()\n\n"
         "def by_string():\n    pass\n\n"
-        "HOOKS = ['by_string']\nBOX = Box()\n"
+        "def exported():\n    pass\n\n"
+        "HOOKS = ['by_string']\nBOX = Box()\n__all__ = ['exported']\n"
     )
     assert unnamed_definitions([module], [module]) == [
+        "exported (sample.py:20)",
         "recursive (sample.py:4)",
         "spare (sample.py:14)",
     ]

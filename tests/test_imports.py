@@ -3,8 +3,9 @@
 An import that nothing reads is dead code that still costs load time and
 misleads the reader about a module's dependencies.  The check walks each
 module's AST: a name bound by an import must appear as a loaded Name (or the
-root of an attribute chain).  Exempt are ``from __future__`` imports and the
-names that ``cawave/__init__.py`` re-exports through ``__all__``.
+root of an attribute chain).  Only ``from __future__`` imports are exempt: a
+name re-exported through ``__all__`` counts as unused, so the package stays
+without a facade and each name is imported from the module that defines it.
 
 LAPACK is reached from ``fem_core`` alone: no other package module imports
 ``scipy.linalg.lapack``, so the tridiagonal solve stays one concept in one
@@ -22,15 +23,6 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 LAPACK = "scipy.linalg.lapack"
 
 
-def _exported(tree) -> set:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(path: Path) -> list:
     tree = ast.parse(path.read_text(), filename=str(path))
     bound = {}
@@ -46,8 +38,6 @@ def unused_imports(path: Path) -> list:
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    if path.name == "__init__.py":
-        read |= _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
 
 
@@ -61,7 +51,7 @@ def test_detects_an_unused_import(tmp_path):
     module.write_text(
         "from __future__ import annotations\n"
         "import math\nimport os.path\nfrom json import dumps, loads\n"
-        "print(os.path.sep, loads)\n"
+        "print(os.path.sep, loads)\n__all__ = ['dumps']\n"
     )
     assert unused_imports(module) == ["dumps (line 4)", "math (line 2)"]
 
