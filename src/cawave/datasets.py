@@ -44,10 +44,16 @@ def difference_samples(p: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     """Forward-difference samples (P, u, du/dt) -> dP/dt of series along the last axis.
 
     Each series gives one row per step but its last, series in row-major order.
+    The rows are filled into one preallocated block, column by column; the
+    differences are np.diff(x) / dt, operand for operand.
     """
-    dudt = np.diff(u) / dt
-    dpdt = np.diff(p) / dt
-    return np.stack([p[..., :-1].ravel(), u[..., :-1].ravel(), dudt.ravel(), dpdt.ravel()], axis=1)
+    block = np.empty(p.shape[:-1] + (p.shape[-1] - 1, 4))
+    block[..., 0] = p[..., :-1]
+    block[..., 1] = u[..., :-1]
+    np.subtract(u[..., 1:], u[..., :-1], out=block[..., 2])
+    np.subtract(p[..., 1:], p[..., :-1], out=block[..., 3])
+    block[..., 2:] /= dt
+    return block.reshape(-1, 4)
 
 
 def signal_times() -> np.ndarray:
@@ -120,7 +126,7 @@ def label_signals(
         p[:, n] = 1.0 - c1 - c2
     if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
         raise FloatingPointError("gating labels left the probability simplex")
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def build_ode_dataset(
@@ -228,16 +234,18 @@ def save_samples(path, samples: np.ndarray) -> None:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
         raise ValueError(f"samples must be (N, 4), got {samples.shape}")
-    body = struct.pack("<Q", samples.shape[0]) + np.ascontiguousarray(samples, dtype="<f8").tobytes()
-    container.write(path, SAMPLES_MAGIC, SAMPLES_VERSION, body)
+    count = struct.pack("<Q", samples.shape[0])
+    rows = np.ascontiguousarray(samples, dtype="<f8")  # no copy of a C-ordered float block
+    container.write(path, SAMPLES_MAGIC, SAMPLES_VERSION, count, rows)
 
 
 def load_samples(path) -> np.ndarray:
+    """Samples of a CWDS container, (N, 4): a writable view of the buffer the file is read into."""
     body = container.read(path, SAMPLES_MAGIC, SAMPLES_VERSION, 8, "sample")
     count = struct.unpack("<Q", body[:8])[0]
     if len(body) != 8 + 32 * count:
         raise CorruptFileError(f"{path}: {len(body) + 12} bytes, expected {20 + 32 * count}")
-    return np.frombuffer(body, dtype="<f8", offset=8).reshape(count, 4).astype(float)
+    return np.frombuffer(body, dtype="<f8", offset=8).reshape(count, 4).astype(float, copy=False)
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:

@@ -289,7 +289,9 @@ def train(
     The epoch training loss is the sample-weighted mean of minibatch losses
     (each evaluated before its update); the validation loss is a full pass at
     the end of the epoch over the held-out trailing split.  Training starts
-    from init_network(seed) and fresh Adam moments.
+    from init_network(seed) and fresh Adam moments.  The training split is
+    never copied out of samples: each minibatch is gathered from samples by
+    index into the workspace's batch buffer.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -304,10 +306,10 @@ def train(
     params = init_network(seed)
 
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
-    train_set = samples[train_idx]
+    # a whole block: the validation mean sums it pairwise
     val_set = samples[val_idx]
 
-    n_train = train_set.shape[0]
+    n_train = train_idx.size
     work = _Workspace(min(batch_size, n_train))
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
@@ -315,8 +317,8 @@ def train(
         order = rng.permutation(n_train)
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
-            idx = order[start : start + batch_size]
-            batch = train_set.take(idx, axis=0, out=work.batch[: idx.size], mode="clip")
+            idx = train_idx[order[start : start + batch_size]]
+            batch = samples.take(idx, axis=0, out=work.batch[: idx.size], mode="clip")
             batch_loss, grads = backward(params, batch, work)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
@@ -364,7 +366,7 @@ def save_weights(path, params: NetworkParams) -> None:
         body += struct.pack("<II", *w.shape)
         body += np.ascontiguousarray(w, dtype="<f8").tobytes()
         body += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    container.write(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, bytes(body))
+    container.write(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, body)
 
 
 def load_weights(path) -> NetworkParams:

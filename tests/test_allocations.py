@@ -1,0 +1,72 @@
+"""Allocation guards on the corpus path, traced with tracemalloc.
+
+Every corpus byte should be held once from generation to minibatch.  On the
+2600-signal corpus (208000 samples, 6.35 MiB) each step is held to a bound:
+
+* build_ode_dataset peaks at no more than 1.8 times its output: the signal
+  and label blocks plus the one sample block it fills;
+* save_samples allocates less than 1 MiB beyond its input, which it writes
+  from its own buffer;
+* load_samples peaks at no more than the file size plus 1 MiB, the one
+  buffer it reads the file into;
+* one training epoch allocates less than the corpus plus 5 MiB beyond the
+  corpus it is given, because minibatches are gathered from it by index.
+
+tracemalloc counts only what is allocated while it runs, numpy's array data
+included, so each peak excludes the arguments handed in.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cawave import datasets as ds
+from cawave import surrogate_net as sn
+
+MIB = 2**20
+SIGNALS, SEED = 2600, 11
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, peak bytes allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return ds.build_ode_dataset(num_signals=SIGNALS, seed=SEED)
+
+
+@pytest.fixture(scope="module")
+def corpus_file(corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "ode_dataset.cwds"
+    ds.save_samples(path, corpus)
+    return path
+
+
+def test_build_ode_dataset_peak(corpus):
+    samples, peak = traced_peak(ds.build_ode_dataset, num_signals=SIGNALS, seed=SEED)
+    assert np.array_equal(samples, corpus)
+    assert peak <= 1.8 * samples.nbytes, peak / samples.nbytes
+
+
+def test_save_samples_writes_from_its_input(corpus, tmp_path):
+    _, peak = traced_peak(ds.save_samples, tmp_path / "s.cwds", corpus)
+    assert peak < MIB, peak / MIB
+
+
+def test_load_samples_reads_into_one_buffer(corpus, corpus_file):
+    loaded, peak = traced_peak(ds.load_samples, corpus_file)
+    assert np.array_equal(loaded, corpus)
+    assert peak <= corpus_file.stat().st_size + MIB, peak / MIB
+
+
+def test_training_epoch_does_not_copy_the_corpus(corpus):
+    _, peak = traced_peak(sn.train, corpus, epochs=1, seed=SEED)
+    assert peak < corpus.nbytes + 5 * MIB, peak / MIB

@@ -259,6 +259,9 @@ def test_samples_round_trip(tmp_path):
     ds.save_samples(path, samples)
     loaded = ds.load_samples(path)
     assert np.array_equal(samples, loaded)
+    # a view of the read buffer, which callers may edit in place
+    assert loaded.flags.writeable
+    loaded[0, 0] += 1.0
     # identical bytes on rewrite
     path2 = tmp_path / "s2.cwds"
     ds.save_samples(path2, samples)

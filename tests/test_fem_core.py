@@ -13,6 +13,9 @@ block-diagonal system with zero seam entries must solve bit for bit as its
 blocks solved one by one.  The factored solve (gttrf once, gttrs per
 right-hand side) must give the one-shot solve's bits, reject the same
 singular systems when it factors, and leave its inputs untouched.
+The finite-part entries give the ER operator K - A one negative mode,
+pinned to the origin: its eigenvalue scales like 1/h^2 and its eigenvector
+lives on the first three nodes.  The cytosolic operator has none.
 """
 
 import math
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import eig
 
 from cawave import fem_core
 from cawave.errors import SingularMatrixError
@@ -266,6 +270,39 @@ def test_convection_scaling_law():
     base = fem_core.assemble_convection(fem_core.build_mesh(1.0, 2.0, 8)).to_dense()
     scaled = fem_core.assemble_convection(fem_core.build_mesh(3.0, 6.0, 8)).to_dense()
     assert_allclose(scaled, base / 3.0, rtol=1e-13)
+
+
+def er_operator_modes(mesh):
+    """Eigenpairs of the pencil (K - A, M) that the ER block steps."""
+    stiffness = fem_core.assemble_stiffness(mesh).to_dense()
+    convection = fem_core.assemble_convection(mesh).to_dense()
+    return eig(stiffness - convection, fem_core.assemble_mass(mesh).to_dense())
+
+
+def negative_modes(lam):
+    return np.flatnonzero(lam.real < -1e-9 * np.abs(lam).max())
+
+
+@pytest.mark.parametrize(
+    "num_elements, lam_h2",
+    [(10, -7.54), (20, -10.50), (40, -13.49), (80, -16.49), (160, -19.50)],
+)
+def test_origin_mesh_has_one_negative_mode_at_the_origin(num_elements, lam_h2):
+    # backward Euler amplifies this mode when dt < 2 / (D |lambda|)
+    mesh = fem_core.build_mesh(0.0, 1.5, num_elements)
+    lam, vectors = er_operator_modes(mesh)
+    modes = negative_modes(lam)
+    assert modes.size == 1, lam[modes]
+    mode = modes[0]
+    assert abs(lam[mode].real * mesh.h**2 - lam_h2) <= 0.05
+    weight = np.abs(vectors[:, mode]) ** 2
+    assert weight[:3].sum() >= 0.9999 * weight.sum()
+
+
+@pytest.mark.parametrize("num_elements", [10, 20, 40, 80, 160])
+def test_cytosol_mesh_has_no_negative_mode(num_elements):
+    lam, _ = er_operator_modes(fem_core.build_mesh(1.5, math.pi, num_elements))
+    assert negative_modes(lam).size == 0
 
 
 def test_solve_banded_against_dense():
