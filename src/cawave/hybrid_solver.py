@@ -84,7 +84,7 @@ PRESET_AMPLITUDES = {"example1": 1200.0, "example1-reduced": 600.0}  # stimulus 
 class StimulusSpec:
     """Polynomial influx pulse at the outer membrane, active on 0 <= t <= 1."""
 
-    amplitude: float = 1200.0
+    amplitude: float = PRESET_AMPLITUDES["example1"]
 
     def value(self, t: float) -> float:
         if 0.0 <= t <= 1.0:
@@ -113,8 +113,6 @@ class SimConfig:
     dt: float = 0.01
     t_end: float = 4.0
     channel: str = "markov"  # markov | surrogate | zero
-    plasma_enabled: bool = True  # False seals the outer membrane: no leak,
-    # pumps, or stimulus (conservation studies)
     initial_markov_state: MarkovState = ryr_markov.RESTING_STATE
     network: surrogate_net.NetworkParams | None = None
     weights_path: str | None = None
@@ -246,8 +244,7 @@ def build_system(cfg: SimConfig) -> _System:
             mass_e / cfg.dt + cfg.d_calcium * (stiff_e - conv_e),
         )
     )
-    if cfg.plasma_enabled:
-        static[1, n_c - 1] += cfg.plasma.leak
+    static[1, n_c - 1] += cfg.plasma.leak
     unit_l = np.zeros(n_e)
     unit_l[-1] = 1.0
     e = BandedMatrix(static[:, 2 * n_c :])
@@ -324,8 +321,7 @@ class _Stepper:
         data[:n_c] += bf.unbind_rate * (bf.total - b_old)
         data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
         y = sys_.mass.matvec(data, out=self.rhs[:, 0])
-        if cfg.plasma_enabled:
-            y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
+        y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
         x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, self.rhs)
 
         # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
@@ -336,7 +332,7 @@ class _Stepper:
         ul, ur = float(w[0]), float(w[n_c - 1])
         alpha = beta = None
         for _ in range(BOUNDARY_ITER_MAX + 1):
-            pumps, pumps_d = outer_pumps(ur, pl) if cfg.plasma_enabled else (0.0, 0.0)
+            pumps, pumps_d = outer_pumps(ur, pl)
             serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
             c_l = gate + serca_d
             r_l = gate * ue_l - serca + serca_d * ul - c_l * y_ll
@@ -415,8 +411,11 @@ def step_imex(state: SimState, cfg: SimConfig, system: _System) -> SimState:
 def conserved_quantity(state: SimState) -> float:
     """Q = int_L^R (u - b) r dr + int_0^L u_e r dr (nodal trapezoid).
 
-    With the outer membrane sealed and no stimulus, dQ/dt = 0: the reaction
-    cancels in u - b and the interface fluxes cancel by the sign convention.
+    With the outer membrane sealed, dQ/dt = 0: the reaction cancels in u - b
+    and the interface fluxes cancel by the sign convention.  A cell is sealed
+    by zero plasma-membrane fluxes and no stimulus:
+    plasma=PlasmaParams(pmca_scale=0, ncx_scale=0, leak=0) and
+    stimulus=StimulusSpec(amplitude=0).
     """
     rc = state.cyto_mesh.nodes
     re = state.er_mesh.nodes

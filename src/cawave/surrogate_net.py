@@ -14,7 +14,7 @@ reshaped views into it.  Gradients use the same layout, so Adam is a handful
 of in-place vector operations on theta and its two moment vectors.  A
 training run allocates its batch, activation, delta and gradient buffers once
 (a _Workspace) and every minibatch writes into them.  forward works through
-large inputs in blocks of FORWARD_BLOCK_ROWS rows, so a validation pass never
+its input in blocks of FORWARD_BLOCK_ROWS rows, so a validation pass never
 holds more than one block's activations.
 
 During a simulation the network advances the open probability explicitly,
@@ -41,7 +41,7 @@ from .errors import CorruptFileError, ShapeMismatchError, StateInvariantError
 
 LAYER_SIZES = (3, 200, 64, 16, 1)
 PARAMETER_COUNT = 14721  # sum over layers of (fan_in + 1) * fan_out
-FORWARD_BLOCK_ROWS = 1024  # forward's row block for large inputs
+FORWARD_BLOCK_ROWS = 1024  # forward's row block
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 WEIGHTS_MAGIC = b"CWNN"
 WEIGHTS_VERSION = 1
@@ -115,17 +115,14 @@ def init_network(seed: int = 0) -> NetworkParams:
     return NetworkParams(weights, biases)
 
 
-def _forward_pass(params: NetworkParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """Forward pass of x (n, 3); returns the outputs (n,).
-
-    Each layer's activations go into the first n rows of acts[layer], or into
-    one new array per layer when acts is None.
-    """
+def _forward_pass(params: NetworkParams, x: np.ndarray, acts: list) -> np.ndarray:
+    """Forward pass of x (n, 3) through the first n rows of the acts buffers;
+    returns the outputs (n,), a view into acts[-1]."""
     n = x.shape[0]
     a = x
     last = len(params.weights) - 1
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(a, w.T, out=None if acts is None else acts[layer][:n])
+        z = np.matmul(a, w.T, out=acts[layer][:n])
         z += b
         if layer < last:
             np.maximum(z, 0.0, out=z)
@@ -136,25 +133,23 @@ def _forward_pass(params: NetworkParams, x: np.ndarray, acts: list | None = None
 def forward(params: NetworkParams, x: np.ndarray):
     """Network output for a single input (3,) or a batch (N, 3).
 
-    Up to FORWARD_BLOCK_ROWS rows take one new array per layer; a larger
-    batch is evaluated block by block, through one set of block-sized
-    activation buffers, into one output vector.  Each row's arithmetic is the
-    same either way.
+    Rows are evaluated in blocks of FORWARD_BLOCK_ROWS, through one set of
+    activation buffers of min(N, FORWARD_BLOCK_ROWS) rows, into one output
+    vector.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
-    if a.shape[0] <= FORWARD_BLOCK_ROWS:
-        out = _forward_pass(params, a)
-        return float(out[0]) if single else out
-    acts = [np.empty((FORWARD_BLOCK_ROWS, k)) for k in LAYER_SIZES[1:]]
-    out = np.empty(a.shape[0])
-    for start in range(0, a.shape[0], FORWARD_BLOCK_ROWS):
+    n = a.shape[0]
+    rows = min(n, FORWARD_BLOCK_ROWS)
+    acts = [np.empty((rows, k)) for k in LAYER_SIZES[1:]]
+    out = np.empty(n)
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
         stop = start + FORWARD_BLOCK_ROWS
         out[start:stop] = _forward_pass(params, a[start:stop], acts)
-    return out
+    return float(out[0]) if single else out
 
 
 def _check_batch(batch) -> np.ndarray:
@@ -218,7 +213,7 @@ class AdamState:
     step: int = 0
 
 
-def init_adam(learning_rate: float = 1e-3) -> AdamState:
+def init_adam(learning_rate: float) -> AdamState:
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
     zeros = np.zeros(PARAMETER_COUNT)

@@ -23,7 +23,7 @@ from cawave import fem_core
 from cawave import hybrid_solver as hs
 from cawave import ryr_markov as rm
 from cawave import surrogate_net as sn
-from cawave.channel_flux import buffer_reaction, plasma_flux
+from cawave.channel_flux import PlasmaParams, buffer_reaction, plasma_flux
 
 
 def verdict(num, ok, detail):
@@ -233,8 +233,10 @@ def test_c09_surrogate_dt_insensitivity():
 
 
 def test_c10_conservation():
-    cfg = hs.preset_config("example1", dt=1e-3, t_end=1.0, plasma_enabled=False)
-    cfg.stimulus = hs.StimulusSpec(amplitude=0.0)
+    sealed = PlasmaParams(pmca_scale=0.0, ncx_scale=0.0, leak=0.0)
+    cfg = hs.preset_config(
+        "example1", dt=1e-3, t_end=1.0, plasma=sealed, stimulus=hs.StimulusSpec(amplitude=0.0)
+    )
     sys_ = hs.build_system(cfg)
     state = hs.make_initial_state(cfg, sys_)
     q0 = hs.conserved_quantity(state)

@@ -4,13 +4,17 @@ A configuration written out in canonical form must load back to the same
 digest; any file, however malformed, must either load or raise ConfigError,
 which the CLI maps to exit code 2.  Every key must reach the program: a key
 outside [network] and [dataset] changes the solver record when perturbed, and
-the keys of those two sections are read by the commands.  The defaults in
-SCHEMA must equal the ones written into the library's records and function
-signatures (SimConfig, preset_config, train, init_adam, build_ode_dataset),
+the keys of those two sections are read by the commands.  The defaults live
+in the library's records and function signatures, and SCHEMA is built from
+them: the default canonical text is pinned by its digest, every field of the
+solver's parameter records must be set by exactly one key, and the defaults
+must equal those of SimConfig, preset_config, train and build_ode_dataset,
 which the CLI bypasses and the tests rely on.
 """
 
+import hashlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,9 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cawave import config, datasets, surrogate_net
-from cawave.config import SCHEMA, RunConfig, load_config
+from cawave.channel_flux import BufferParams, ErParams, PlasmaParams
+from cawave.config import COMMANDS, SCHEMA, TARGETS, RunConfig, load_config
 from cawave.errors import ConfigError
 from cawave.hybrid_solver import PRESET_AMPLITUDES, SimConfig, StimulusSpec, preset_config
+from cawave.ryr_markov import MarkovRates, MarkovState
 
 CLI_SOURCE = (Path(config.__file__).parent / "cli.py").read_text()
 KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
@@ -161,9 +167,38 @@ def test_schema_defaults_equal_the_library_defaults():
         assert preset_config(preset) == defaults.sim_config(stimulus=StimulusSpec(amplitude))
     network, dataset = defaults.values["network"], defaults.values["dataset"]
     assert _defaults(surrogate_net.train, *network) == network
-    assert _defaults(surrogate_net.init_adam, "learning_rate") == {
-        "learning_rate": network["learning_rate"]
-    }
     assert _defaults(datasets.build_ode_dataset, "num_signals", "seed") == {
         "num_signals": dataset["signals"], "seed": dataset["seed"]
     }
+
+
+def test_default_canonical_text_is_pinned():
+    # key order, types and value reprs, all read off the library's defaults
+    text = RunConfig().canonical_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bdd846a092624dfd9880c53709f961bb0c1ea97b9c5b54f9e530f40f448a5ff7"
+    )
+
+
+RECORDS = {
+    "plasma": PlasmaParams,
+    "er": ErParams,
+    "buffer": BufferParams,
+    "rates": MarkovRates,
+    "initial_markov_state": MarkovState,
+    "stimulus": StimulusSpec,
+}
+
+
+@pytest.mark.parametrize("attr", RECORDS)
+def test_every_record_field_is_set_by_one_key(attr):
+    cls = RECORDS[attr]
+    assert type(getattr(SimConfig(), attr)) is cls
+    targets = [
+        path
+        for section, keys in TARGETS.items()
+        if section not in COMMANDS
+        for path in keys.values()
+    ]
+    for f in fields(cls):
+        assert targets.count(f"{attr}.{f.name}") == 1, f.name

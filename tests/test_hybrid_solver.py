@@ -9,7 +9,9 @@ store interface later.
 
 One condensed step is checked against a dense reference that assembles the
 three matrices in full and runs the boundary fixed point with a full solve
-per pass, with roundoff undershoots in some of the inputs; a whole run must
+per pass, with roundoff undershoots in some of the inputs.  Neither step has
+a maximum principle, so where step_imex rejects a field that left its band,
+the reference's field must leave that band too.  A whole run must
 equal a chain of step_imex calls bit for bit; a boundary system made exactly
 singular must raise SingularMatrixError, and the CLI must report it with
 exit code 3.
@@ -17,22 +19,27 @@ exit code 3.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cawave import cli, fem_core
 from cawave import hybrid_solver as hs
 from cawave import surrogate_net as sn
-from cawave.channel_flux import outer_pumps, serca_pump
+from cawave.channel_flux import PlasmaParams, outer_pumps, serca_pump
 from cawave.config import load_config
 from cawave.errors import ConfigError, SingularMatrixError, StateInvariantError
 
 
+# a sealed outer membrane: no pumps, no leak and no stimulus
+SEALED = dict(
+    plasma=PlasmaParams(pmca_scale=0.0, ncx_scale=0.0, leak=0.0),
+    stimulus=hs.StimulusSpec(amplitude=0.0),
+)
+
+
 def sealed_config(**overrides):
-    cfg = hs.preset_config("example1", plasma_enabled=False, **overrides)
-    cfg.stimulus = hs.StimulusSpec(amplitude=0.0)
-    return cfg
+    return hs.preset_config("example1", **SEALED, **overrides)
 
 
 def test_stimulus_profile():
@@ -290,12 +297,11 @@ def reference_step(state, cfg):
     a_u[0, 0] += gate
     r_u = mc @ (state.u / dt + bf.unbind_rate * (bf.total - b_old))
     r_u[0] += gate * ue_l
-    if cfg.plasma_enabled:
-        a_u[-1, -1] += pl.leak
-        r_u[-1] += pl.leak * pl.c_out + cfg.stimulus.value(state.t + dt)
+    a_u[-1, -1] += pl.leak
+    r_u[-1] += pl.leak * pl.c_out + cfg.stimulus.value(state.t + dt)
 
     def u_system(x):
-        pumps, pumps_d = outer_pumps(x[-1], pl) if cfg.plasma_enabled else (0.0, 0.0)
+        pumps, pumps_d = outer_pumps(x[-1], pl)
         serca, serca_d, _ = serca_pump(x[0], ue_l, er_p)
         a, r = a_u.copy(), r_u.copy()
         a[-1, -1] += pumps_d
@@ -330,6 +336,12 @@ def _perturbed(n, low, high):
 FIELD_NODES = {"u": 13, "b": 13, "ue": 8}  # ue's interface node (index 8) stays positive
 
 
+def _left_band(name, field, cfg):
+    """Whether field lies outside the band that step_imex admits for it."""
+    ceiling = cfg.buffer.total + hs.UNDERSHOOT_TOL if name == "free buffer" else 1e9
+    return not (field.min() >= -hs.UNDERSHOOT_TOL and field.max() <= ceiling)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
     du=_perturbed(13, 0.0, 3.0),
@@ -348,11 +360,21 @@ FIELD_NODES = {"u": 13, "b": 13, "ue": 8}  # ue's interface node (index 8) stays
     t=st.floats(0.0, 1.5),
     plasma=st.booleans(),
 )
+@example(  # the consistent-mass step drives b below the band at both nodes
+    du=np.zeros(13), db=np.zeros(13), due=np.zeros(9),
+    undershoots=[("b", 0, -8.986517029647154e-09), ("b", 1, -1e-08)],
+    p_open=0.0, dt=1e-4, t=0.0, plasma=True,
+)
+@example(
+    du=np.zeros(13), db=np.zeros(13), due=np.zeros(9),
+    undershoots=[("b", 0, -8.986517029647154e-09), ("b", 1, -1e-08)],
+    p_open=0.0, dt=1e-4, t=0.0, plasma=False,
+)
 def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, plasma):
     # roundoff undershoots in [-1e-8, 0) are clamped for the reaction and
     # flux terms, while the data keep the raw values
     cfg = hs.preset_config(
-        "example1", cyto_elements=12, er_elements=8, dt=dt, plasma_enabled=plasma
+        "example1", cyto_elements=12, er_elements=8, dt=dt, **({} if plasma else SEALED)
     )
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
@@ -360,9 +382,17 @@ def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, p
     for name, node, value in undershoots:
         fields[name][node % FIELD_NODES[name]] = value
     state = hs.SimState(t, *fields.values(), FixedChannel(p_open), sys_.cyto, sys_.er)
-    new = hs.step_imex(state, cfg, sys_)
-    for got, want in zip((new.u, new.b, new.ue), reference_step(state, cfg)):
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    want = reference_step(state, cfg)
+    try:
+        new = hs.step_imex(state, cfg, sys_)
+    except StateInvariantError as exc:
+        # neither step has a maximum principle: a field that step_imex
+        # rejects must leave its band in the dense step too
+        name = next(name for name in hs.FIELD_NAMES if str(exc).startswith(name))
+        assert _left_band(name, want[hs.FIELD_NAMES.index(name)], cfg), exc
+        return
+    for got, ref in zip((new.u, new.b, new.ue), want):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 SURROGATE = sn.init_network(seed=5)
@@ -394,9 +424,9 @@ def test_run_is_a_chain_of_steps(channel, plasma, cyto_elements, er_elements, st
     # the run advances its own buffers in place; step_imex starts each step
     # from a fresh state, and the two must agree bit for bit
     cfg = hs.preset_config(
-        "example1", channel=channel, plasma_enabled=plasma, cyto_elements=cyto_elements,
-        er_elements=er_elements, dt=dt, t_end=steps * dt,
-        network=SURROGATE if channel == "surrogate" else None,
+        "example1", channel=channel, cyto_elements=cyto_elements, er_elements=er_elements,
+        dt=dt, t_end=steps * dt, network=SURROGATE if channel == "surrogate" else None,
+        **({} if plasma else SEALED),
     )
     out, again = hs.run_simulation(cfg), hs.run_simulation(cfg)
     series, u_max, final = _chain_of_steps(cfg)
