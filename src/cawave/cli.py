@@ -11,14 +11,14 @@ Subcommands:
   steady       tabulate gating fixed points over a calcium grid
 
 Every subcommand accepts --config/--seed/--out; gen-data also takes --threads,
-its number of labelling workers.  Exit codes: 0 on success, 2 for
-configuration errors (including argparse failures), 3 for numeric failures, 4
-for I/O errors.  Each output file gets a sidecar <file>.meta.json recording
-the config digest, seed, and library versions; train's sidecars also record
-the effective training values and the input dataset's name and CRC32, and
-simulate's the digest of the effective SimConfig and the weight file's CRC32.
-The data files themselves carry no timestamps, so fixed seeds reproduce them
-bit for bit.
+its number of labelling workers, at most the CPU count.  Exit codes: 0 on
+success, 2 for configuration errors (including argparse failures), 3 for
+numeric failures, 4 for I/O errors.  Each output file gets a sidecar
+<file>.meta.json recording the config digest, seed, and library versions;
+train's sidecars also record the effective training values and the input
+dataset's name and CRC32, and simulate's the digest of the effective
+SimConfig and the weight file's CRC32.  The data files themselves carry no
+timestamps, so fixed seeds reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ def _prepare(args):
 def cmd_gen_data(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be positive, got {args.threads}")
+    cpus = os.cpu_count() or 1
+    if args.threads > cpus:
+        raise ConfigError(f"--threads must be at most the CPU count {cpus}, got {args.threads}")
     cfg = _prepare(args)
     seed = cfg.get("dataset", "seed")
     if args.set == "ode":
@@ -247,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=["ode", "artificial-1", "artificial-2"])
     p.add_argument("--signals", type=int, help="pulse-grid subset size (ode set only)")
     p.add_argument("--csv", action="store_true", help="also write a CSV copy")
-    p.add_argument("--threads", type=int, default=1, help="labelling worker threads")
+    p.add_argument(
+        "--threads", type=int, default=1, help="labelling worker threads, at most the CPU count"
+    )
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", parents=[common], help="train the gating surrogate")

@@ -48,15 +48,15 @@ would be singular, raises SingularMatrixError.
 The PMCA, NCX and SERCA laws and their slopes come from channel_flux
 (outer_pumps, serca_pump); this module only places them in the boundary rows.
 
-A run steps in place: run_simulation's _Stepper owns the stacked fields
-w = (u, b, u_e), the step's BandedMatrix (the u_e block never changes), the
-Fortran (N, 3) right-hand side, and the scale, data and clamp buffers.
-After each step two reduceat calls bound all three fields at once: they are
-the range check (NaN fails it), the observer's u maximum, and the minima that
-the next step's clamp reads.  Values in [-1e-8, 0) are clamped to zero for
-the reaction and flux terms while the data keep the raw fields; anything
-below -1e-8 aborts.  step_imex runs the same kernel on buffers made for the
-one call.
+A run is one SimState that step_imex advances in place; run_simulation calls
+step_imex by its module-level name once per step.  The state owns the stacked
+fields w = (u, b, u_e), of which u, b and u_e are read-only views, the step's
+BandedMatrix (the u_e block never changes), the Fortran (N, 3) right-hand
+side, and the scale, data and clamp buffers.  After each step two reduceat
+calls bound all three fields at once: they are the range check (NaN fails
+it), the observer's u maximum, and the minima that the next step's clamp
+reads.  Values in [-1e-8, 0) are clamped to zero for the reaction and flux
+terms while the data keep the raw fields; anything below -1e-8 aborts.
 """
 
 from __future__ import annotations
@@ -199,19 +199,6 @@ def initial_channel(cfg: SimConfig):
 
 
 @dataclass
-class SimState:
-    """Solution snapshot: fields, time, and the gating handle."""
-
-    t: float
-    u: np.ndarray  # cytosolic calcium on the [L, R] mesh
-    b: np.ndarray  # free buffer on the [L, R] mesh
-    ue: np.ndarray  # ER calcium on the [0, L] mesh
-    channel: object
-    cyto_mesh: Mesh1D
-    er_mesh: Mesh1D
-
-
-@dataclass
 class _System:
     """Stacked bands of the u, b and u_e solves, fixed for a given config.
 
@@ -252,26 +239,17 @@ def build_system(cfg: SimConfig) -> _System:
     return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))), g_e)
 
 
-def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimState:
-    cfg.validate()
-    sys_ = system if system is not None else build_system(cfg)
-    return SimState(
-        0.0,
-        np.full(sys_.cyto.num_nodes, cfg.u_init),
-        np.full(sys_.cyto.num_nodes, cfg.b_init),
-        np.full(sys_.er.num_nodes, cfg.ue_init),
-        initial_channel(cfg),
-        sys_.cyto,
-        sys_.er,
-    )
+class SimState:
+    """The state of one run: fields, time, gating handle and its P, with the
+    work buffers that step_imex advances them in (see the module docstring).
 
+    u, b and ue are read-only views of w, so the minima that the next step's
+    clamp reads stay valid; the state shares no memory with its inputs.
+    """
 
-class _Stepper:
-    """The field vector and work buffers of one run, and the step that advances
-    them in place (see the module docstring)."""
-
-    def __init__(self, cfg: SimConfig, system: _System, u, b, ue):
-        self.cfg, self.system = cfg, system
+    def __init__(self, cfg: SimConfig, system: _System, u, b, ue, channel, t: float = 0.0):
+        self.cfg, self.system, self.channel, self.t = cfg, system, channel, t
+        self.p_open = channel.probability
         n_c = self.n_c = system.cyto.num_nodes
         self.w = np.concatenate((u, b, ue))
         self.starts = np.array([0, n_c, 2 * n_c])
@@ -280,132 +258,136 @@ class _Stepper:
         self.rhs[0, 1] = self.rhs[n_c - 1, 2] = 1.0  # unit data at u's L and R rows
         self.scale = np.empty(2 * n_c)
         self.data, self.clamped = np.empty((2, self.w.size))
-        self.fields = tuple(np.split(self.w, self.starts[1:]))  # views of u, b, u_e
+        self.u, self.b, self.ue = np.split(self.w, self.starts[1:])
+        for view in (self.u, self.b, self.ue):
+            view.flags.writeable = False
         self.lows = np.minimum.reduceat(self.w, self.starts).tolist()
         self.u_max = float(self.w[:n_c].max())
 
-    def step(self, t_next: float, channel):
-        """Advance w by one step to t_next; returns the advanced channel and its P."""
-        cfg, sys_, w, n_c = self.cfg, self.system, self.w, self.n_c
-        dt, pl, er_p, bf = cfg.dt, cfg.plasma, cfg.er, cfg.buffer
 
-        # clamp roundoff undershoots for the reaction and flux terms
-        old = w
-        for name, low in zip(FIELD_NAMES, self.lows):
-            if low < -UNDERSHOOT_TOL:
-                raise StateInvariantError(f"{name} undershot to {low}")
-        if min(self.lows) < 0.0:
-            old = self.clamped
-            for raw, dst, low in zip(self.fields, np.split(old, self.starts[1:]), self.lows):
-                dst[:] = np.maximum(raw, 0.0) if low < 0.0 else raw
-        u_l, ue_l = float(old[0]), float(old[-1])
-        if ue_l <= 1e-12:
-            raise StateInvariantError(f"ER interface concentration collapsed: {ue_l}")
-
-        # (i) gating update with the newest interface concentration
-        channel = channel.advance(u_l, dt)
-        p_open = channel.probability
-        gate = er_p.ryr_scale * p_open + er_p.leak  # linear interface conductance
-
-        # One block-diagonal solve for (ii)-(iv): the reactions M diag(bind b_old)
-        # on u and M diag(unbind + bind u_old) on b are column scalings.
-        scale, b_old = self.scale, old[n_c : 2 * n_c]
-        np.multiply(b_old, bf.bind_rate, out=scale[:n_c])
-        np.multiply(old[:n_c], bf.bind_rate, out=scale[n_c:])
-        scale[n_c:] += bf.unbind_rate
-        mat = self.matrix
-        ub = mat.bands[:, : 2 * n_c]
-        np.multiply(sys_.mass.bands[:, : 2 * n_c], scale, out=ub)
-        ub += sys_.static[:, : 2 * n_c]
-        data = np.divide(w, dt, out=self.data)
-        data[:n_c] += bf.unbind_rate * (bf.total - b_old)
-        data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
-        y = sys_.mass.matvec(data, out=self.rhs[:, 0])
-        y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
-        x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, self.rhs)
-
-        # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
-        # and PMCA/NCX at u_R and solves the 2x2 system for (alpha, beta)
-        y_u, g_l, g_r = x[:n_c, 0], x[:n_c, 1], x[:n_c, 2]
-        y_ll, g_ll, g_rl = x[0].tolist()
-        y_rr, g_lr, g_rr = x[n_c - 1].tolist()
-        ul, ur = float(w[0]), float(w[n_c - 1])
-        alpha = beta = None
-        for _ in range(BOUNDARY_ITER_MAX + 1):
-            pumps, pumps_d = outer_pumps(ur, pl)
-            serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
-            c_l = gate + serca_d
-            r_l = gate * ue_l - serca + serca_d * ul - c_l * y_ll
-            r_r = -pumps + pumps_d * ur - pumps_d * y_rr
-            a11, a12 = 1.0 + c_l * g_ll, c_l * g_rl
-            a21, a22 = pumps_d * g_lr, 1.0 + pumps_d * g_rr
-            det = a11 * a22 - a12 * a21
-            if det == 0.0:
-                raise SingularMatrixError(f"singular cytosolic boundary system at t = {t_next}")
-            new_alpha = (r_l * a22 - a12 * r_r) / det
-            new_beta = (a11 * r_r - a21 * r_l) / det
-            new_l = y_ll + new_alpha * g_ll + new_beta * g_rl
-            new_r = y_rr + new_alpha * g_lr + new_beta * g_rr
-            if max(abs(new_l - ul), abs(new_r - ur)) <= BOUNDARY_ITER_TOL:
-                u_new = y_u + new_alpha * g_l + new_beta * g_r
-                change = u_new - w[:n_c] if alpha is None else (
-                    (new_alpha - alpha) * g_l + (new_beta - beta) * g_r)
-                if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
-                    break
-            alpha, beta, ul, ur = new_alpha, new_beta, new_l, new_r
-        else:
-            raise SolverDivergenceError(
-                f"outer-boundary iteration did not converge at t = {t_next}")
-
-        # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
-        # gate - dSERCA/du_e on the L row as a Sherman-Morrison update
-        y_e, g_e = x[2 * n_c :, 0], sys_.g_e
-        y_el, g_el = float(x[-1, 0]), float(g_e[-1])
-        uel = float(w[-1])
-        beta_e = None
-        for _ in range(BOUNDARY_ITER_MAX + 1):
-            if uel <= 1e-12:
-                raise StateInvariantError(f"ER interface concentration collapsed: {uel}")
-            serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
-            s = gate - serca_d
-            denom = 1.0 + s * g_el
-            if denom == 0.0:
-                raise SingularMatrixError(f"singular ER boundary system at t = {t_next}")
-            new_beta = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
-            new_l = y_el + new_beta * g_el
-            if abs(new_l - uel) <= BOUNDARY_ITER_TOL:
-                ue_new = y_e + new_beta * g_e
-                change = ue_new - w[2 * n_c :] if beta_e is None else (new_beta - beta_e) * g_e
-                if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
-                    break
-            beta_e, uel = new_beta, new_l
-        else:
-            raise SolverDivergenceError(f"ER-boundary iteration did not converge at t = {t_next}")
-
-        # (iii) free buffer: fully linear in the new b, so y_b is the answer
-        w[:n_c], w[n_c : 2 * n_c], w[2 * n_c :] = u_new, x[n_c : 2 * n_c, 0], ue_new
-
-        # All six field bounds from two reductions; NaN fails both comparisons.
-        lows = np.minimum.reduceat(w, self.starts).tolist()
-        highs = np.maximum.reduceat(w, self.starts).tolist()
-        ceilings = (1e9, bf.total + UNDERSHOOT_TOL, 1e9)
-        for name, low, high, hi in zip(FIELD_NAMES, lows, highs, ceilings):
-            if not (low >= -UNDERSHOOT_TOL and high <= hi):
-                if not (math.isfinite(low) and math.isfinite(high)):
-                    raise StateInvariantError(f"{name} became non-finite")
-                raise StateInvariantError(
-                    f"{name} left [{-UNDERSHOOT_TOL}, {hi}]: range [{low}, {high}]")
-        self.lows, self.u_max = lows, highs[0]
-        return channel, p_open
+def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimState:
+    cfg.validate()
+    sys_ = system if system is not None else build_system(cfg)
+    n_c, n_e = sys_.cyto.num_nodes, sys_.er.num_nodes
+    fields = (np.full(n_c, cfg.u_init), np.full(n_c, cfg.b_init), np.full(n_e, cfg.ue_init))
+    return SimState(cfg, sys_, *fields, initial_channel(cfg))
 
 
-def step_imex(state: SimState, cfg: SimConfig, system: _System) -> SimState:
-    """Advance one IMEX step; returns a fresh SimState, inputs untouched.  The
-    step is the run's kernel, _Stepper.step, on buffers made for this call."""
-    stepper = _Stepper(cfg, system, state.u, state.b, state.ue)
-    t_next = state.t + cfg.dt
-    channel, _ = stepper.step(t_next, state.channel)
-    return SimState(t_next, *stepper.fields, channel, system.cyto, system.er)
+def step_imex(state: SimState) -> None:
+    """Advance state by one IMEX step to t + dt, in place."""
+    cfg, sys_, w, n_c = state.cfg, state.system, state.w, state.n_c
+    dt, pl, er_p, bf = cfg.dt, cfg.plasma, cfg.er, cfg.buffer
+    t_next = state.t + dt
+
+    # clamp roundoff undershoots for the reaction and flux terms
+    old = w
+    for name, low in zip(FIELD_NAMES, state.lows):
+        if low < -UNDERSHOOT_TOL:
+            raise StateInvariantError(f"{name} undershot to {low}")
+    if min(state.lows) < 0.0:
+        old = state.clamped
+        fields = (state.u, state.b, state.ue)
+        for raw, dst, low in zip(fields, np.split(old, state.starts[1:]), state.lows):
+            dst[:] = np.maximum(raw, 0.0) if low < 0.0 else raw
+    u_l, ue_l = float(old[0]), float(old[-1])
+    if ue_l <= 1e-12:
+        raise StateInvariantError(f"ER interface concentration collapsed: {ue_l}")
+
+    # (i) gating update with the newest interface concentration
+    channel = state.channel.advance(u_l, dt)
+    p_open = channel.probability
+    gate = er_p.ryr_scale * p_open + er_p.leak  # linear interface conductance
+
+    # One block-diagonal solve for (ii)-(iv): the reactions M diag(bind b_old)
+    # on u and M diag(unbind + bind u_old) on b are column scalings.
+    scale, b_old = state.scale, old[n_c : 2 * n_c]
+    np.multiply(b_old, bf.bind_rate, out=scale[:n_c])
+    np.multiply(old[:n_c], bf.bind_rate, out=scale[n_c:])
+    scale[n_c:] += bf.unbind_rate
+    mat = state.matrix
+    ub = mat.bands[:, : 2 * n_c]
+    np.multiply(sys_.mass.bands[:, : 2 * n_c], scale, out=ub)
+    ub += sys_.static[:, : 2 * n_c]
+    data = np.divide(w, dt, out=state.data)
+    data[:n_c] += bf.unbind_rate * (bf.total - b_old)
+    data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
+    y = sys_.mass.matvec(data, out=state.rhs[:, 0])
+    y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
+    x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, state.rhs)
+
+    # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
+    # and PMCA/NCX at u_R and solves the 2x2 system for (alpha, beta)
+    y_u, g_l, g_r = x[:n_c, 0], x[:n_c, 1], x[:n_c, 2]
+    y_ll, g_ll, g_rl = x[0].tolist()
+    y_rr, g_lr, g_rr = x[n_c - 1].tolist()
+    ul, ur = float(w[0]), float(w[n_c - 1])
+    alpha = beta = None
+    for _ in range(BOUNDARY_ITER_MAX + 1):
+        pumps, pumps_d = outer_pumps(ur, pl)
+        serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
+        c_l = gate + serca_d
+        r_l = gate * ue_l - serca + serca_d * ul - c_l * y_ll
+        r_r = -pumps + pumps_d * ur - pumps_d * y_rr
+        a11, a12 = 1.0 + c_l * g_ll, c_l * g_rl
+        a21, a22 = pumps_d * g_lr, 1.0 + pumps_d * g_rr
+        det = a11 * a22 - a12 * a21
+        if det == 0.0:
+            raise SingularMatrixError(f"singular cytosolic boundary system at t = {t_next}")
+        new_alpha = (r_l * a22 - a12 * r_r) / det
+        new_beta = (a11 * r_r - a21 * r_l) / det
+        new_l = y_ll + new_alpha * g_ll + new_beta * g_rl
+        new_r = y_rr + new_alpha * g_lr + new_beta * g_rr
+        if max(abs(new_l - ul), abs(new_r - ur)) <= BOUNDARY_ITER_TOL:
+            u_new = y_u + new_alpha * g_l + new_beta * g_r
+            change = u_new - w[:n_c] if alpha is None else (
+                (new_alpha - alpha) * g_l + (new_beta - beta) * g_r)
+            if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
+                break
+        alpha, beta, ul, ur = new_alpha, new_beta, new_l, new_r
+    else:
+        raise SolverDivergenceError(
+            f"outer-boundary iteration did not converge at t = {t_next}")
+
+    # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
+    # gate - dSERCA/du_e on the L row as a Sherman-Morrison update
+    y_e, g_e = x[2 * n_c :, 0], sys_.g_e
+    y_el, g_el = float(x[-1, 0]), float(g_e[-1])
+    uel = float(w[-1])
+    beta_e = None
+    for _ in range(BOUNDARY_ITER_MAX + 1):
+        if uel <= 1e-12:
+            raise StateInvariantError(f"ER interface concentration collapsed: {uel}")
+        serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
+        s = gate - serca_d
+        denom = 1.0 + s * g_el
+        if denom == 0.0:
+            raise SingularMatrixError(f"singular ER boundary system at t = {t_next}")
+        new_beta = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
+        new_l = y_el + new_beta * g_el
+        if abs(new_l - uel) <= BOUNDARY_ITER_TOL:
+            ue_new = y_e + new_beta * g_e
+            change = ue_new - w[2 * n_c :] if beta_e is None else (new_beta - beta_e) * g_e
+            if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
+                break
+        beta_e, uel = new_beta, new_l
+    else:
+        raise SolverDivergenceError(f"ER-boundary iteration did not converge at t = {t_next}")
+
+    # (iii) free buffer: fully linear in the new b, so y_b is the answer
+    w[:n_c], w[n_c : 2 * n_c], w[2 * n_c :] = u_new, x[n_c : 2 * n_c, 0], ue_new
+
+    # All six field bounds from two reductions; NaN fails both comparisons.
+    lows = np.minimum.reduceat(w, state.starts).tolist()
+    highs = np.maximum.reduceat(w, state.starts).tolist()
+    ceilings = (1e9, bf.total + UNDERSHOOT_TOL, 1e9)
+    for name, low, high, hi in zip(FIELD_NAMES, lows, highs, ceilings):
+        if not (low >= -UNDERSHOOT_TOL and high <= hi):
+            if not (math.isfinite(low) and math.isfinite(high)):
+                raise StateInvariantError(f"{name} became non-finite")
+            raise StateInvariantError(
+                f"{name} left [{-UNDERSHOOT_TOL}, {hi}]: range [{low}, {high}]")
+    state.lows, state.u_max = lows, highs[0]
+    state.t, state.channel, state.p_open = t_next, channel, p_open
 
 
 def conserved_quantity(state: SimState) -> float:
@@ -417,8 +399,8 @@ def conserved_quantity(state: SimState) -> float:
     plasma=PlasmaParams(pmca_scale=0, ncx_scale=0, leak=0) and
     stimulus=StimulusSpec(amplitude=0).
     """
-    rc = state.cyto_mesh.nodes
-    re = state.er_mesh.nodes
+    rc = state.system.cyto.nodes
+    re = state.system.er.nodes
     return float(
         np.trapezoid((state.u - state.b) * rc, rc) + np.trapezoid(state.ue * re, re)
     )
@@ -461,22 +443,19 @@ def run_simulation(cfg: SimConfig) -> SimOutput:
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ConfigError(f"t_end = {cfg.t_end} is not a whole number of steps of {cfg.dt}")
 
-    stepper = _Stepper(cfg, sys_, state.u, state.b, state.ue)
-    u, _, ue = stepper.fields
-    t, channel, p_open = state.t, state.channel, state.channel.probability
+    u, ue = state.u, state.ue
     times, u_r, u_l, ue_l, p_series, u_max = np.empty((6, n_steps + 1))
     for n in range(n_steps + 1):
         if n:
-            t += cfg.dt
-            channel, p_open = stepper.step(t, channel)
-        times[n], u_r[n], u_l[n], ue_l[n] = t, u[-1], u[0], ue[-1]
-        p_series[n], u_max[n] = p_open, stepper.u_max
+            step_imex(state)
+        times[n], u_r[n], u_l[n], ue_l[n] = state.t, u[-1], u[0], ue[-1]
+        p_series[n], u_max[n] = state.p_open, state.u_max
 
     peak = int(np.argmax(u_l))
     duration = _longest_run(u_l > 2.0 * cfg.u_init, cfg.dt)
     return SimOutput(
         times, u_r, u_l, ue_l, p_series, float(u_l[peak]), float(times[peak]),
-        float(u_max.max()), duration, SimState(t, *stepper.fields, channel, sys_.cyto, sys_.er),
+        float(u_max.max()), duration, state,
     )
 
 

@@ -4,9 +4,10 @@ The benchmark drives the program from outside: bench/tracing.py wraps named
 module functions, and bench/run.py runs each workload as cawave command
 lines.  A change in src/ that renames a traced function or drops an option
 the workloads pass would break the benchmark only when it runs; these checks
-catch it in the test suite instead.  bench/run.py pins the BLAS thread
-variables when it is imported; monkeypatch sets them first so that teardown
-restores them.
+catch it in the test suite instead.  A traced run must also count each of
+its steps, which it does only if the run calls the wrapped step.
+bench/run.py pins the BLAS thread variables when it is imported; monkeypatch
+sets them first so that teardown restores them.
 """
 
 import sys
@@ -44,6 +45,26 @@ def test_every_traced_function_exists(bench):
     finally:
         tracer.uninstall()
     assert solver.run_simulation is original
+
+
+def test_trace_sees_every_step_of_a_run(bench):
+    # run_simulation reaches step_imex through the module attribute, so the
+    # traced wrapper counts every step and the solve nested in each
+    _, tracing = bench
+    solver = cawave.hybrid_solver
+    cfg = solver.preset_config("example1", dt=0.01, t_end=0.05, cyto_elements=8, er_elements=8)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(cawave)
+        tracer.begin_round()
+        tracer.active = True
+        solver.run_simulation(cfg)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    assert stats.calls("hybrid_solver.step_imex") == 5
+    assert stats.nested_calls("fem_core.solve_tridiagonal", "hybrid_solver.step_imex") == 5
 
 
 def test_every_workload_command_parses(bench, tmp_path):

@@ -6,6 +6,7 @@ hit them.
 """
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -378,9 +379,12 @@ def test_convergence_csv(tmp_path):
 def test_bad_choice_and_threads(tmp_path):
     r = run_cli("gen-data", "--set", "nonsense", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
-    r = run_cli("gen-data", "--set", "ode", "--threads", "0", cwd=tmp_path)
-    assert r.returncode == 2, r.stderr
-    assert "--threads" in r.stderr
+    for threads in (0, (os.cpu_count() or 1) + 1):  # rejected before any worker starts
+        r = run_cli("gen-data", "--set", "ode", "--threads", str(threads), "--out", "out",
+                    cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "--threads" in r.stderr
+        assert not (tmp_path / "out").exists()
     for argv in (["train", "--data", "x.cwds"], ["simulate"], ["convergence"], ["steady"]):
         r = run_cli(*argv, "--threads", "1", cwd=tmp_path)  # a gen-data flag only
         assert r.returncode == 2 and "unrecognized arguments" in r.stderr, argv

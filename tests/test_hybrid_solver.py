@@ -11,10 +11,10 @@ One condensed step is checked against a dense reference that assembles the
 three matrices in full and runs the boundary fixed point with a full solve
 per pass, with roundoff undershoots in some of the inputs.  Neither step has
 a maximum principle, so where step_imex rejects a field that left its band,
-the reference's field must leave that band too.  A whole run must
-equal a chain of step_imex calls bit for bit; a boundary system made exactly
-singular must raise SingularMatrixError, and the CLI must report it with
-exit code 3.
+the reference's field must leave that band too.  A whole run must equal a
+chain of in-place step_imex calls bit for bit; a boundary system made
+exactly singular must raise SingularMatrixError, and the CLI must report it
+with exit code 3.
 """
 
 import numpy as np
@@ -85,6 +85,19 @@ def test_initial_state():
     assert state.ue.shape == (cfg.er_elements + 1,)
 
 
+def test_state_fields_are_read_only_copies():
+    cfg = hs.preset_config("example1", cyto_elements=8, er_elements=8)
+    sys_ = hs.build_system(cfg)
+    u, b, ue = np.full(9, 0.05), np.full(9, 37.0), np.full(9, 250.0)
+    state = hs.SimState(cfg, sys_, u, b, ue, hs.initial_channel(cfg))
+    with pytest.raises(ValueError):
+        state.u[0] = 1.0
+    for field, source in zip((state.u, state.b, state.ue), (u, b, ue)):
+        assert np.array_equal(field, source) and not np.shares_memory(field, source)
+    hs.step_imex(state)
+    assert np.all(u == 0.05) and np.all(b == 37.0) and np.all(ue == 250.0)
+
+
 def test_channel_selection():
     rest_p = 1.0 - 0.994 - 5.6625e-3  # open fraction of the resting occupancies
     markov = hs.initial_channel(hs.preset_config("example1"))
@@ -128,10 +141,11 @@ def test_first_order_in_time():
 
 def test_conserved_quantity_exact_for_linear_fields():
     cfg = sealed_config(dt=1e-3, t_end=1e-3)
-    state = hs.make_initial_state(cfg)
-    state.u[:] = 0.0
-    state.b[:] = 0.0
-    state.ue[:] = 3.0
+    sys_ = hs.build_system(cfg)
+    n_c, n_e = sys_.cyto.num_nodes, sys_.er.num_nodes
+    state = hs.SimState(
+        cfg, sys_, np.zeros(n_c), np.zeros(n_c), np.full(n_e, 3.0), hs.initial_channel(cfg)
+    )
     # int_0^L 3 r dr = 3 L^2 / 2, and the trapezoid rule is exact there
     assert hs.conserved_quantity(state) == 3.0 * 1.5**2 / 2.0
 
@@ -142,7 +156,7 @@ def test_sealed_membrane_conserves_total_calcium():
     state = hs.make_initial_state(cfg, sys_)
     q0 = hs.conserved_quantity(state)
     for _ in range(1000):
-        state = hs.step_imex(state, cfg, sys_)
+        hs.step_imex(state)
     assert abs(hs.conserved_quantity(state) - q0) / abs(q0) <= 1e-3
 
 
@@ -153,11 +167,13 @@ def test_conservation_drift_is_first_order_in_dt():
     for dt, n_steps in ((2e-3, 500), (5e-4, 2000)):
         cfg = sealed_config(dt=dt, t_end=1.0)
         sys_ = hs.build_system(cfg)
-        state = hs.make_initial_state(cfg, sys_)
-        state.u[:5] += 0.5
+        rest = hs.make_initial_state(cfg, sys_)
+        u = rest.u.copy()
+        u[:5] += 0.5
+        state = hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel)
         q0 = hs.conserved_quantity(state)
         for _ in range(n_steps):
-            state = hs.step_imex(state, cfg, sys_)
+            hs.step_imex(state)
         drifts[dt] = abs(hs.conserved_quantity(state) - q0) / abs(q0)
     assert drifts[2e-3] <= 5e-3
     assert drifts[2e-3] / drifts[5e-4] >= 2.5  # ~4 for a first-order scheme
@@ -166,25 +182,26 @@ def test_conservation_drift_is_first_order_in_dt():
 def test_negative_undershoot_policy():
     cfg = hs.preset_config("example1", dt=1e-3)
     sys_ = hs.build_system(cfg)
-    state = hs.make_initial_state(cfg, sys_)
+    rest = hs.make_initial_state(cfg, sys_)
     # roundoff-scale: clamped quietly, so the Markov step, which rejects
     # u < 0, sees zero at the interface node
-    state.u[0] = state.u[3] = -1e-9
-    hs.step_imex(state, cfg, sys_)
+    u = rest.u.copy()
+    u[0] = u[3] = -1e-9
+    hs.step_imex(hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel))
 
-    state = hs.make_initial_state(cfg, sys_)
-    state.u[3] = -1e-7  # beyond roundoff: a real solver failure
+    u = rest.u.copy()
+    u[3] = -1e-7  # beyond roundoff: a real solver failure
     with pytest.raises(StateInvariantError):
-        hs.step_imex(state, cfg, sys_)
+        hs.step_imex(hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel))
 
 
 def test_depleted_store_aborts():
     cfg = hs.preset_config("example1", dt=1e-3)
     sys_ = hs.build_system(cfg)
-    state = hs.make_initial_state(cfg, sys_)
-    state.ue[:] = 0.0
+    rest = hs.make_initial_state(cfg, sys_)
+    state = hs.SimState(cfg, sys_, rest.u, rest.b, np.zeros_like(rest.ue), rest.channel)
     with pytest.raises(StateInvariantError):
-        hs.step_imex(state, cfg, sys_)
+        hs.step_imex(state)
 
 
 def test_wave_onset_travels_inward():
@@ -381,17 +398,17 @@ def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, p
     fields = {"u": rest.u + du, "b": rest.b + db, "ue": rest.ue + due}
     for name, node, value in undershoots:
         fields[name][node % FIELD_NODES[name]] = value
-    state = hs.SimState(t, *fields.values(), FixedChannel(p_open), sys_.cyto, sys_.er)
+    state = hs.SimState(cfg, sys_, *fields.values(), FixedChannel(p_open), t)
     want = reference_step(state, cfg)
     try:
-        new = hs.step_imex(state, cfg, sys_)
+        hs.step_imex(state)
     except StateInvariantError as exc:
         # neither step has a maximum principle: a field that step_imex
         # rejects must leave its band in the dense step too
         name = next(name for name in hs.FIELD_NAMES if str(exc).startswith(name))
         assert _left_band(name, want[hs.FIELD_NAMES.index(name)], cfg), exc
         return
-    for got, ref in zip((new.u, new.b, new.ue), want):
+    for got, ref in zip((state.u, state.b, state.ue), want):
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -405,7 +422,7 @@ def _chain_of_steps(cfg):
     rows, u_max = [], -np.inf
     for n in range(round(cfg.t_end / cfg.dt) + 1):
         if n:
-            state = hs.step_imex(state, cfg, sys_)
+            hs.step_imex(state)
         rows.append((state.t, state.u[-1], state.u[0], state.ue[-1], state.channel.probability))
         u_max = max(u_max, state.u.max())
     return np.array(rows).T, u_max, state
@@ -421,8 +438,8 @@ def _chain_of_steps(cfg):
     dt=st.sampled_from([1e-3, 1e-2, 4e-2]),
 )
 def test_run_is_a_chain_of_steps(channel, plasma, cyto_elements, er_elements, steps, dt):
-    # the run advances its own buffers in place; step_imex starts each step
-    # from a fresh state, and the two must agree bit for bit
+    # the run and a chain of step_imex calls on a state of our own must agree
+    # bit for bit, and two runs must not share a field buffer
     cfg = hs.preset_config(
         "example1", channel=channel, cyto_elements=cyto_elements, er_elements=er_elements,
         dt=dt, t_end=steps * dt, network=SURROGATE if channel == "surrogate" else None,
@@ -467,7 +484,7 @@ def test_singular_boundary_system_raises(monkeypatch):
     _patch_serca_slope(monkeypatch, _singular_er_slope(cfg))
     sys_ = hs.build_system(cfg)
     with pytest.raises(SingularMatrixError):
-        hs.step_imex(hs.make_initial_state(cfg, sys_), cfg, sys_)
+        hs.step_imex(hs.make_initial_state(cfg, sys_))
 
 
 def test_singular_boundary_system_exits_3(monkeypatch, tmp_path, capsys):
