@@ -10,8 +10,8 @@ Subcommands:
   convergence  manufactured-solution error table for the store operator
   steady       tabulate gating fixed points over a calcium grid
 
-Every subcommand accepts --config/--seed/--out; gen-data also takes --threads,
-its number of labelling workers, at most the CPU count.  Exit codes: 0 on
+Every subcommand accepts --config/--seed/--out; gen-data labels in one thread
+and accepts --threads only as 1, which the benchmark passes.  Exit codes: 0 on
 success, 2 for configuration errors (including argparse failures), 3 for
 numeric failures, 4 for I/O errors.  Each output file gets a sidecar
 <file>.meta.json recording the config digest, seed, and library versions;
@@ -76,21 +76,11 @@ def _prepare(args):
 
 
 def cmd_gen_data(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be positive, got {args.threads}")
-    cpus = os.cpu_count() or 1
-    if args.threads > cpus:
-        raise ConfigError(f"--threads must be at most the CPU count {cpus}, got {args.threads}")
     cfg = _prepare(args)
     seed = cfg.get("dataset", "seed")
     if args.set == "ode":
         num_signals = args.signals if args.signals is not None else cfg.get("dataset", "signals")
-        samples = datasets.build_ode_dataset(
-            num_signals=num_signals,
-            seed=seed,
-            rates=cfg.markov_rates(),
-            threads=args.threads,
-        )
+        samples = datasets.build_ode_dataset(num_signals, seed, cfg.markov_rates())
         path = os.path.join(args.out, "ode_dataset.cwds")
         print(f"ode grid: {num_signals} signals, {samples.shape[0]} samples")
     else:
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signals", type=int, help="pulse-grid subset size (ode set only)")
     p.add_argument("--csv", action="store_true", help="also write a CSV copy")
     p.add_argument(
-        "--threads", type=int, default=1, help="labelling worker threads, at most the CPU count"
+        "--threads", type=int, choices=[1], default=1, help="only 1; the benchmark passes it"
     )
     p.set_defaults(func=cmd_gen_data)
 

@@ -21,7 +21,6 @@ little-endian, CRC32 trailer) or CSV.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +132,13 @@ def build_ode_dataset(
     num_signals: int = GRID_SHAPE[0] * GRID_SHAPE[1],
     seed: int = 0,
     rates: MarkovRates = MarkovRates(),
-    threads: int = 1,
 ) -> np.ndarray:
     """Supervised samples from the pulse grid; (num_signals * (T-1), 4).
 
     num_signals below the full grid selects a seeded sorted subset of the
     enumeration, so a small corpus still spans the whole grid statistically.
-    Work is split into per-thread signal chunks whose results are concatenated
-    in enumeration order: the output is identical for any thread count.
+    The selected pulses are labelled as one block by label_signals, in one
+    thread, and differenced in enumeration order.
     """
     amps, durs = grid_signals()
     total = amps.size
@@ -151,16 +149,8 @@ def build_ode_dataset(
         idx = np.sort(rng.choice(total, size=num_signals, replace=False))
         amps, durs = amps[idx], durs[idx]
     u_block = gen_cosine_signal(amps, durs)
-    dt = SIGNAL_DT
-
-    if threads <= 1 or num_signals < 2 * threads:
-        p_block = label_signals(u_block, dt, FULLY_CLOSED_STATE, rates)
-    else:
-        chunks = np.array_split(np.arange(num_signals), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: label_signals(u_block[c], dt, FULLY_CLOSED_STATE, rates), chunks))
-        p_block = np.concatenate(parts, axis=0)
-    return difference_samples(p_block, u_block, dt)
+    p_block = label_signals(u_block, SIGNAL_DT, FULLY_CLOSED_STATE, rates)
+    return difference_samples(p_block, u_block, SIGNAL_DT)
 
 
 def gen_training_set_I():

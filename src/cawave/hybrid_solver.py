@@ -52,11 +52,12 @@ A run is one SimState that step_imex advances in place; run_simulation calls
 step_imex by its module-level name once per step.  The state owns the stacked
 fields w = (u, b, u_e), of which u, b and u_e are read-only views, the step's
 BandedMatrix (the u_e block never changes), the Fortran (N, 3) right-hand
-side, and the scale, data and clamp buffers.  After each step two reduceat
-calls bound all three fields at once: they are the range check (NaN fails
-it), the observer's u maximum, and the minima that the next step's clamp
-reads.  Values in [-1e-8, 0) are clamped to zero for the reaction and flux
-terms while the data keep the raw fields; anything below -1e-8 aborts.
+side, and the scale, data and clamp buffers.  Two reduceat calls bound all
+three new fields at once, before they are copied into w: they are the range
+check (NaN fails it; a step that raises leaves the state as it was), the
+observer's u maximum, and the minima that the next step's clamp reads.
+Values in [-1e-8, 0) are clamped to zero for the reaction and flux terms
+while the data keep the raw fields; anything below -1e-8 aborts.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fem_core, ryr_markov, surrogate_net
+from . import channel_flux, fem_core, ryr_markov, surrogate_net
 from .channel_flux import BufferParams, ErParams, PlasmaParams, outer_pumps, serca_pump
 from .errors import ConfigError, SingularMatrixError, SolverDivergenceError, StateInvariantError
 from .fem_core import BandedMatrix, Mesh1D, build_mesh, solve_tridiagonal
@@ -290,7 +291,7 @@ def step_imex(state: SimState) -> None:
         for raw, dst, low in zip(fields, np.split(old, state.starts[1:]), state.lows):
             dst[:] = np.maximum(raw, 0.0) if low < 0.0 else raw
     u_l, ue_l = float(old[0]), float(old[-1])
-    if ue_l <= 1e-12:
+    if ue_l <= channel_flux.ER_CONCENTRATION_FLOOR:
         raise StateInvariantError(f"ER interface concentration collapsed: {ue_l}")
 
     # (i) gating update with the newest interface concentration
@@ -355,7 +356,7 @@ def step_imex(state: SimState) -> None:
     uel = float(w[-1])
     beta_e = None
     for _ in range(BOUNDARY_ITER_MAX + 1):
-        if uel <= 1e-12:
+        if uel <= channel_flux.ER_CONCENTRATION_FLOOR:
             raise StateInvariantError(f"ER interface concentration collapsed: {uel}")
         serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
         s = gate - serca_d
@@ -373,12 +374,14 @@ def step_imex(state: SimState) -> None:
     else:
         raise SolverDivergenceError(f"ER-boundary iteration did not converge at t = {t_next}")
 
-    # (iii) free buffer: fully linear in the new b, so y_b is the answer
-    w[:n_c], w[n_c : 2 * n_c], w[2 * n_c :] = u_new, x[n_c : 2 * n_c, 0], ue_new
+    # (iii) free buffer: fully linear in the new b, so y_b is the answer; the
+    # new fields are checked in x's column 0 before they are copied into w
+    new = x[:, 0]
+    new[:n_c], new[2 * n_c :] = u_new, ue_new
 
     # All six field bounds from two reductions; NaN fails both comparisons.
-    lows = np.minimum.reduceat(w, state.starts).tolist()
-    highs = np.maximum.reduceat(w, state.starts).tolist()
+    lows = np.minimum.reduceat(new, state.starts).tolist()
+    highs = np.maximum.reduceat(new, state.starts).tolist()
     ceilings = (1e9, bf.total + UNDERSHOOT_TOL, 1e9)
     for name, low, high, hi in zip(FIELD_NAMES, lows, highs, ceilings):
         if not (low >= -UNDERSHOOT_TOL and high <= hi):
@@ -386,6 +389,7 @@ def step_imex(state: SimState) -> None:
                 raise StateInvariantError(f"{name} became non-finite")
             raise StateInvariantError(
                 f"{name} left [{-UNDERSHOOT_TOL}, {hi}]: range [{low}, {high}]")
+    w[:] = new
     state.lows, state.u_max = lows, highs[0]
     state.t, state.channel, state.p_open = t_next, channel, p_open
 

@@ -379,12 +379,16 @@ def test_convergence_csv(tmp_path):
 def test_bad_choice_and_threads(tmp_path):
     r = run_cli("gen-data", "--set", "nonsense", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
-    for threads in (0, (os.cpu_count() or 1) + 1):  # rejected before any worker starts
+    for threads in (0, 2, (os.cpu_count() or 1) + 1):  # rejected before anything is written
         r = run_cli("gen-data", "--set", "ode", "--threads", str(threads), "--out", "out",
                     cwd=tmp_path)
         assert r.returncode == 2, r.stderr
         assert "--threads" in r.stderr
         assert not (tmp_path / "out").exists()
+    r = run_cli("gen-data", "--set", "ode", "--signals", "3", "--threads", "1", "--out", "out",
+                cwd=tmp_path)  # the benchmark's command line passes --threads 1
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "out" / "ode_dataset.cwds").exists()
     for argv in (["train", "--data", "x.cwds"], ["simulate"], ["convergence"], ["steady"]):
         r = run_cli(*argv, "--threads", "1", cwd=tmp_path)  # a gen-data flag only
         assert r.returncode == 2 and "unrecognized arguments" in r.stderr, argv

@@ -412,6 +412,29 @@ def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, p
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def test_a_raising_step_leaves_its_state_untouched():
+    # the sharp buffer front pinned above: b drops from rest to zero over the
+    # first two nodes, and the step drives it below the band
+    cfg = hs.preset_config("example1", cyto_elements=12, er_elements=8, dt=1e-4)
+    sys_ = hs.build_system(cfg)
+    rest = hs.make_initial_state(cfg, sys_)
+    b = rest.b.copy()
+    b[0], b[1] = -8.986517029647154e-09, -1e-08
+    state = hs.SimState(cfg, sys_, rest.u, b, rest.ue, hs.initial_channel(cfg))
+    fields = [getattr(state, name).copy() for name in ("u", "b", "ue")]
+    t, lows, u_max, channel = state.t, list(state.lows), state.u_max, state.channel
+    errors = []
+    for _ in range(2):
+        with pytest.raises(StateInvariantError, match="free buffer left") as exc:
+            hs.step_imex(state)
+        errors.append(str(exc.value))
+        for name, before in zip(("u", "b", "ue"), fields):
+            assert np.array_equal(getattr(state, name), before), name
+        assert state.t == t and state.lows == lows and state.u_max == u_max
+        assert state.channel is channel
+    assert errors[0] == errors[1]
+
+
 SURROGATE = sn.init_network(seed=5)
 
 
