@@ -28,22 +28,21 @@ Time stepping is a first-order IMEX splitting.  Per step:
 
 With b, u_e and P lagged the three implicit systems are independent, so one
 step makes one tridiagonal solve: the matrices (M/dt + D K - D A) plus the
-reaction sit side by side in one block-diagonal fem_core.BandedMatrix
-(whose band format puts zeros at the block seams), with three right-hand
-sides.  Column 0 holds the IMEX data of all three fields and gives y;
-columns 1 and 2 hold unit vectors at u's L and R rows and give g_L and g_R.
-The boundary passes only change end entries of the u and u_e systems, so by
-the Sherman-Morrison-Woodbury identity
+reaction sit side by side in one block-diagonal fem_core.BandedMatrix, whose
+zero seams let each block solve as it would alone.  Column 0 of the
+right-hand side holds the IMEX data and gives y; column 1 holds unit data at
+the L rows of u and u_e and gives g_L and g_e; column 2 holds it at u's R row
+and gives g_R.  The boundary passes only change end entries of the u and
+u_e systems, so by the Sherman-Morrison-Woodbury identity
 
     u   = y_u + alpha g_L + beta g_R      (2x2 system in alpha, beta)
     u_e = y_e + beta_e g_e                (scalar Sherman-Morrison update)
 
-where g_e, the static u_e matrix's response to unit data at r = L, is solved
-once per run.  A pass is then plain float arithmetic on the end values; the
-full-vector change is formed only once both ends have settled, because the
-change at the ends bounds the change anywhere from below.  A zero 2x2
-determinant or Sherman-Morrison denominator, which is where the full matrix
-would be singular, raises SingularMatrixError.
+and a pass is plain float arithmetic on the end values.  The full-vector
+change is formed only once both ends have settled, because the change at
+the ends bounds the change anywhere from below.  A zero 2x2 determinant or
+Sherman-Morrison denominator, which is where the full matrix would be
+singular, raises SingularMatrixError.
 
 The PMCA, NCX and SERCA laws and their slopes come from channel_flux
 (outer_pumps, serca_pump); this module only places them in the boundary rows.
@@ -54,10 +53,10 @@ fields w = (u, b, u_e), of which u, b and u_e are read-only views, the step's
 BandedMatrix (the u_e block never changes), the Fortran (N, 3) right-hand
 side, and the scale, data and clamp buffers.  Two reduceat calls bound all
 three new fields at once, before they are copied into w: they are the range
-check (NaN fails it; a step that raises leaves the state as it was), the
-observer's u maximum, and the minima that the next step's clamp reads.
-Values in [-1e-8, 0) are clamped to zero for the reaction and flux terms
-while the data keep the raw fields; anything below -1e-8 aborts.
+check (NaN fails it; a step that raises leaves the state as it was) and the
+observer's u maximum.  Every step clamps the fields at zero for the reaction
+and flux terms while the data keep the raw fields; SimState and the range
+check admit nothing below -1e-8, so the clamp only removes roundoff.
 """
 
 from __future__ import annotations
@@ -115,7 +114,6 @@ class SimConfig:
     t_end: float = 4.0
     channel: str = "markov"  # markov | surrogate | zero
     initial_markov_state: MarkovState = ryr_markov.RESTING_STATE
-    network: surrogate_net.NetworkParams | None = None
     weights_path: str | None = None
 
     def validate(self) -> None:
@@ -131,15 +129,14 @@ class SimConfig:
             raise ConfigError("t_end shorter than one step")
         if self.channel not in ("markov", "surrogate", "zero"):
             raise ConfigError(f"unknown channel model: {self.channel!r}")
-        if self.channel == "surrogate" and self.network is None and self.weights_path is None:
-            raise ConfigError("surrogate channel needs network params or a weight file")
+        if self.channel == "surrogate" and self.weights_path is None:
+            raise ConfigError("surrogate channel needs a weight file")
         if self.u_init < 0 or self.ue_init <= 0 or not 0 <= self.b_init <= self.buffer.total:
             raise ConfigError("initial concentrations out of range")
 
     def digest(self) -> str:
-        """sha256 of the canonical repr of every field but the network and its file path."""
-        bare = replace(self, network=None, weights_path=None)
-        return hashlib.sha256(repr(bare).encode()).hexdigest()
+        """sha256 of the canonical repr of every field but the weight file path."""
+        return hashlib.sha256(repr(replace(self, weights_path=None)).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def initial_channel(cfg: SimConfig):
         return ZeroChannel()
     if cfg.channel == "markov":
         return MarkovChannel(cfg.rates, cfg.initial_markov_state)
-    params = cfg.network if cfg.network is not None else surrogate_net.load_weights(cfg.weights_path)
+    params = surrogate_net.load_weights(cfg.weights_path)
     return SurrogateChannel(params, ryr_markov.open_probability(cfg.initial_markov_state))
 
 
@@ -213,7 +210,6 @@ class _System:
     er: Mesh1D
     static: np.ndarray  # M/dt + D (K - A) per field, plasma leak on u's R row
     mass: BandedMatrix  # M of all three blocks: nodal data to right-hand side
-    g_e: np.ndarray  # static u_e matrix's response to unit data at r = L
 
 
 def build_system(cfg: SimConfig) -> _System:
@@ -223,8 +219,6 @@ def build_system(cfg: SimConfig) -> _System:
     assemble = (fem_core.assemble_mass, fem_core.assemble_stiffness, fem_core.assemble_convection)
     mass_c, stiff_c, conv_c = (f(cyto).bands for f in assemble)
     mass_e, stiff_e, conv_e = (f(er).bands for f in assemble)
-    n_c, n_e = cyto.num_nodes, er.num_nodes
-
     static = np.hstack(
         (
             mass_c / cfg.dt + cfg.d_calcium * (stiff_c - conv_c),
@@ -232,37 +226,37 @@ def build_system(cfg: SimConfig) -> _System:
             mass_e / cfg.dt + cfg.d_calcium * (stiff_e - conv_e),
         )
     )
-    static[1, n_c - 1] += cfg.plasma.leak
-    unit_l = np.zeros(n_e)
-    unit_l[-1] = 1.0
-    e = BandedMatrix(static[:, 2 * n_c :])
-    g_e = solve_tridiagonal(e.lower, e.diag, e.upper, unit_l)
-    return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))), g_e)
+    static[1, cyto.num_nodes - 1] += cfg.plasma.leak
+    return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))))
 
 
 class SimState:
     """The state of one run: fields, time, gating handle and its P, with the
     work buffers that step_imex advances them in (see the module docstring).
 
-    u, b and ue are read-only views of w, so the minima that the next step's
-    clamp reads stay valid; the state shares no memory with its inputs.
+    u, b and ue are read-only views of w; the state shares no memory with its
+    inputs, which must match their meshes and undershoot by at most 1e-8.
     """
 
     def __init__(self, cfg: SimConfig, system: _System, u, b, ue, channel, t: float = 0.0):
         self.cfg, self.system, self.channel, self.t = cfg, system, channel, t
         self.p_open = channel.probability
         n_c = self.n_c = system.cyto.num_nodes
+        for name, values, size in zip(FIELD_NAMES, (u, b, ue), (n_c, n_c, system.er.num_nodes)):
+            if np.shape(values) != (size,):
+                raise ValueError(f"{name} has shape {np.shape(values)}, expected ({size},)")
+            if (low := float(np.min(values))) < -UNDERSHOOT_TOL:
+                raise StateInvariantError(f"{name} undershot to {low}")
         self.w = np.concatenate((u, b, ue))
         self.starts = np.array([0, n_c, 2 * n_c])
         self.matrix = BandedMatrix(system.static.copy())  # the u_e block never changes
         self.rhs = np.zeros((self.w.size, 3), order="F")
-        self.rhs[0, 1] = self.rhs[n_c - 1, 2] = 1.0  # unit data at u's L and R rows
+        self.rhs[0, 1] = self.rhs[-1, 1] = self.rhs[n_c - 1, 2] = 1.0  # L rows of u, u_e; R of u
         self.scale = np.empty(2 * n_c)
         self.data, self.clamped = np.empty((2, self.w.size))
         self.u, self.b, self.ue = np.split(self.w, self.starts[1:])
         for view in (self.u, self.b, self.ue):
             view.flags.writeable = False
-        self.lows = np.minimum.reduceat(self.w, self.starts).tolist()
         self.u_max = float(self.w[:n_c].max())
 
 
@@ -281,15 +275,7 @@ def step_imex(state: SimState) -> None:
     t_next = state.t + dt
 
     # clamp roundoff undershoots for the reaction and flux terms
-    old = w
-    for name, low in zip(FIELD_NAMES, state.lows):
-        if low < -UNDERSHOOT_TOL:
-            raise StateInvariantError(f"{name} undershot to {low}")
-    if min(state.lows) < 0.0:
-        old = state.clamped
-        fields = (state.u, state.b, state.ue)
-        for raw, dst, low in zip(fields, np.split(old, state.starts[1:]), state.lows):
-            dst[:] = np.maximum(raw, 0.0) if low < 0.0 else raw
+    old = np.maximum(w, 0.0, out=state.clamped)
     u_l, ue_l = float(old[0]), float(old[-1])
     if ue_l <= channel_flux.ER_CONCENTRATION_FLOOR:
         raise StateInvariantError(f"ER interface concentration collapsed: {ue_l}")
@@ -351,8 +337,8 @@ def step_imex(state: SimState) -> None:
 
     # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
     # gate - dSERCA/du_e on the L row as a Sherman-Morrison update
-    y_e, g_e = x[2 * n_c :, 0], sys_.g_e
-    y_el, g_el = float(x[-1, 0]), float(g_e[-1])
+    y_e, g_e = x[2 * n_c :, 0], x[2 * n_c :, 1]
+    y_el, g_el = x[-1, :2].tolist()
     uel = float(w[-1])
     beta_e = None
     for _ in range(BOUNDARY_ITER_MAX + 1):
@@ -390,7 +376,7 @@ def step_imex(state: SimState) -> None:
             raise StateInvariantError(
                 f"{name} left [{-UNDERSHOOT_TOL}, {hi}]: range [{low}, {high}]")
     w[:] = new
-    state.lows, state.u_max = lows, highs[0]
+    state.u_max = highs[0]
     state.t, state.channel, state.p_open = t_next, channel, p_open
 
 
@@ -470,14 +456,3 @@ def write_simulation_csv(path, output: SimOutput) -> None:
         fh.write("t,u_R,u_L,ue_L,P\n")
         fh.writelines("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
 
-
-def preset_config(name: str, **overrides) -> SimConfig:
-    """Named scenarios: 'example1' (full stimulus) and 'example1-reduced'."""
-    if name not in PRESET_AMPLITUDES:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESET_AMPLITUDES)}")
-    cfg = SimConfig(stimulus=StimulusSpec(PRESET_AMPLITUDES[name]))
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, value)
-    return cfg

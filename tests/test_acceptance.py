@@ -163,7 +163,7 @@ def test_c05_gradient_check():
 
 
 def test_c06_no_channel_ablation():
-    cfg = hs.preset_config("example1", channel="zero", dt=0.01, t_end=4.0)
+    cfg = hs.SimConfig(channel="zero", dt=0.01, t_end=4.0)
     out = hs.run_simulation(cfg)
     peak = out.peak_u_anywhere
     verdict(6, peak < 0.5, f"peak u anywhere = {peak:.5f} (bound < 0.5, dt=0.01)")
@@ -173,9 +173,7 @@ def test_c06_no_channel_ablation():
 def wave_peaks():
     peaks = {}
     for denom in (2500, 12500):
-        cfg = hs.preset_config(
-            "example1", dt=1.0 / denom, t_end=4.0, er_elements=80, cyto_elements=80
-        )
+        cfg = hs.SimConfig(dt=1.0 / denom, t_end=4.0, er_elements=80, cyto_elements=80)
         peaks[denom] = hs.run_simulation(cfg).peak_u_l
     return peaks
 
@@ -212,12 +210,15 @@ def test_c08_desk_scale_surrogate():
     verdict(8, not problems, "; ".join(problems) or "P in [0,1], quiet pre-onset, rise follows u on in-range signals")
 
 
-def test_c09_surrogate_dt_insensitivity():
+def test_c09_surrogate_dt_insensitivity(tmp_path):
     samples = ds.difference_samples(*ds.gen_training_set_I())
     params, _ = sn.train(samples, epochs=100, batch_size=640, validation_fraction=0.10, seed=1)
+    weights = tmp_path / "weights.cwnn"
+    sn.save_weights(weights, params)  # float64 in the file: the network is unchanged
+    reduced = hs.StimulusSpec(hs.PRESET_AMPLITUDES["example1-reduced"])
     peaks, durations = [], []
     for dt in (1.0 / 80, 1.0 / 160):
-        cfg = hs.preset_config("example1-reduced", channel="surrogate", network=params, dt=dt)
+        cfg = hs.SimConfig(stimulus=reduced, channel="surrogate", weights_path=str(weights), dt=dt)
         out = hs.run_simulation(cfg)
         peaks.append(out.peak_u_l)
         durations.append(out.wave_duration)
@@ -234,9 +235,7 @@ def test_c09_surrogate_dt_insensitivity():
 
 def test_c10_conservation():
     sealed = PlasmaParams(pmca_scale=0.0, ncx_scale=0.0, leak=0.0)
-    cfg = hs.preset_config(
-        "example1", dt=1e-3, t_end=1.0, plasma=sealed, stimulus=hs.StimulusSpec(amplitude=0.0)
-    )
+    cfg = hs.SimConfig(dt=1e-3, t_end=1.0, plasma=sealed, stimulus=hs.StimulusSpec(amplitude=0.0))
     sys_ = hs.build_system(cfg)
     state = hs.make_initial_state(cfg, sys_)
     q0 = hs.conserved_quantity(state)

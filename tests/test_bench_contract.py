@@ -52,7 +52,7 @@ def test_trace_sees_every_step_of_a_run(bench):
     # traced wrapper counts every step and the solve nested in each
     _, tracing = bench
     solver = cawave.hybrid_solver
-    cfg = solver.preset_config("example1", dt=0.01, t_end=0.05, cyto_elements=8, er_elements=8)
+    cfg = solver.SimConfig(dt=0.01, t_end=0.05, cyto_elements=8, er_elements=8)
     tracer = tracing.Tracer()
     try:
         tracer.install(cawave)

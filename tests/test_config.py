@@ -8,8 +8,8 @@ the keys of those two sections are read by the commands.  The defaults live
 in the library's records and function signatures, and SCHEMA is built from
 them: the default canonical text is pinned by its digest, every field of the
 solver's parameter records must be set by exactly one key, and the defaults
-must equal those of SimConfig, preset_config, train and build_ode_dataset,
-which the CLI bypasses and the tests rely on.
+must equal those of SimConfig, train and build_ode_dataset, which the CLI
+bypasses and the tests rely on.
 """
 
 import hashlib
@@ -25,7 +25,7 @@ from cawave import config, datasets, surrogate_net
 from cawave.channel_flux import BufferParams, ErParams, PlasmaParams
 from cawave.config import COMMANDS, SCHEMA, TARGETS, RunConfig, load_config
 from cawave.errors import ConfigError
-from cawave.hybrid_solver import PRESET_AMPLITUDES, SimConfig, StimulusSpec, preset_config
+from cawave.hybrid_solver import SimConfig, StimulusSpec
 from cawave.ryr_markov import MarkovRates, MarkovState
 
 CLI_SOURCE = (Path(config.__file__).parent / "cli.py").read_text()
@@ -163,8 +163,6 @@ def _defaults(fn, *names):
 def test_schema_defaults_equal_the_library_defaults():
     defaults = load_config(None)
     assert SimConfig() == defaults.sim_config()
-    for preset, amplitude in PRESET_AMPLITUDES.items():
-        assert preset_config(preset) == defaults.sim_config(stimulus=StimulusSpec(amplitude))
     network, dataset = defaults.values["network"], defaults.values["dataset"]
     assert _defaults(surrogate_net.train, *network) == network
     assert _defaults(datasets.build_ode_dataset, "num_signals", "seed") == {

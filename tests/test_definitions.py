@@ -26,8 +26,6 @@ ALLOWED = {
     "c01 and tests/test_channel_flux.py check the reaction balance at rest with",
     "conserved_quantity": "total calcium of a state; the oracle of c10's sealed-cell "
     "conservation check and of the drift tests in tests/test_hybrid_solver.py",
-    "preset_config": "the named scenarios as SimConfig records; the solver tests build "
-    "their runs from it and tests/test_config.py checks it against the CLI's --preset path",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -14,7 +14,8 @@ a maximum principle, so where step_imex rejects a field that left its band,
 the reference's field must leave that band too.  A whole run must equal a
 chain of in-place step_imex calls bit for bit; a boundary system made
 exactly singular must raise SingularMatrixError, and the CLI must report it
-with exit code 3.
+with exit code 3.  The step's one solve must give g_e, the u_e block's
+response to unit data at r = L, bit for bit as the block alone would.
 """
 
 import numpy as np
@@ -39,7 +40,13 @@ SEALED = dict(
 
 
 def sealed_config(**overrides):
-    return hs.preset_config("example1", **SEALED, **overrides)
+    return hs.SimConfig(**SEALED, **overrides)
+
+
+def saved_network(path, seed):
+    """Path (as str) of a CWNN file holding the untrained network of seed."""
+    sn.save_weights(path, sn.init_network(seed=seed))
+    return str(path)
 
 
 def test_stimulus_profile():
@@ -52,30 +59,21 @@ def test_stimulus_profile():
     assert reduced.value(0.5) == pytest.approx(37.5, rel=1e-14)
 
 
-def test_presets():
-    assert hs.preset_config("example1").stimulus.amplitude == 1200.0
-    assert hs.preset_config("example1-reduced").stimulus.amplitude == 600.0
-    with pytest.raises(ConfigError):
-        hs.preset_config("example2")
-    with pytest.raises(ConfigError):
-        hs.preset_config("example1", no_such_field=1)
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", dt=0.0).validate()
+        hs.SimConfig(dt=0.0).validate()
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", er_radius=4.0).validate()  # past the cell edge
+        hs.SimConfig(er_radius=4.0).validate()  # past the cell edge
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", channel="none").validate()
+        hs.SimConfig(channel="none").validate()
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", ue_init=0.0).validate()
+        hs.SimConfig(ue_init=0.0).validate()
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", er_elements=0).validate()
+        hs.SimConfig(er_elements=0).validate()
 
 
 def test_initial_state():
-    cfg = hs.preset_config("example1")
+    cfg = hs.SimConfig()
     state = hs.make_initial_state(cfg)
     assert np.all(state.u == 0.05)
     assert np.all(state.b == 37.0)
@@ -86,7 +84,7 @@ def test_initial_state():
 
 
 def test_state_fields_are_read_only_copies():
-    cfg = hs.preset_config("example1", cyto_elements=8, er_elements=8)
+    cfg = hs.SimConfig(cyto_elements=8, er_elements=8)
     sys_ = hs.build_system(cfg)
     u, b, ue = np.full(9, 0.05), np.full(9, 37.0), np.full(9, 250.0)
     state = hs.SimState(cfg, sys_, u, b, ue, hs.initial_channel(cfg))
@@ -98,28 +96,45 @@ def test_state_fields_are_read_only_copies():
     assert np.all(u == 0.05) and np.all(b == 37.0) and np.all(ue == 250.0)
 
 
-def test_channel_selection():
+def test_state_rejects_fields_that_do_not_match_their_meshes():
+    # concatenated and re-split at n_c, mis-sized fields would land in the
+    # wrong block: b would hold ER values
+    cfg = hs.SimConfig(cyto_elements=8, er_elements=8)
+    sys_ = hs.build_system(cfg)
+    rest = hs.make_initial_state(cfg, sys_)
+    u, b, ue = rest.u, rest.b, rest.ue
+    for fields in (
+        (u[:-1], b[:-1], np.append(ue, [250.0, 250.0])),
+        (u, b[:-1], np.append(ue, 250.0)),
+        (u, b, ue[:-1]),
+        (u, b, ue.reshape(1, -1)),
+    ):
+        with pytest.raises(ValueError, match="expected"):
+            hs.SimState(cfg, sys_, *fields, rest.channel)
+
+
+def test_channel_selection(tmp_path):
     rest_p = 1.0 - 0.994 - 5.6625e-3  # open fraction of the resting occupancies
-    markov = hs.initial_channel(hs.preset_config("example1"))
+    markov = hs.initial_channel(hs.SimConfig())
     assert abs(markov.probability - rest_p) <= 1e-9
     stepped = markov.advance(5.0, 0.01)  # a new value; the handle itself is unchanged
     assert stepped.probability > markov.probability
     assert abs(markov.probability - rest_p) <= 1e-9
-    zero = hs.initial_channel(hs.preset_config("example1", channel="zero"))
+    zero = hs.initial_channel(hs.SimConfig(channel="zero"))
     assert zero.probability == 0.0
     assert zero.advance(5.0, 0.01).probability == 0.0
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", channel="surrogate").validate()  # no weights given
+        hs.SimConfig(channel="surrogate").validate()  # no weights given
     with pytest.raises(ConfigError):
-        hs.preset_config("example1", channel="colgate").validate()
-    params = sn.init_network(seed=0)
-    surro = hs.initial_channel(hs.preset_config("example1", channel="surrogate", network=params))
+        hs.SimConfig(channel="colgate").validate()
+    weights = saved_network(tmp_path / "weights.cwnn", seed=0)
+    surro = hs.initial_channel(hs.SimConfig(channel="surrogate", weights_path=weights))
     assert surro.probability == markov.probability  # both start from the resting state
     assert surro.advance(0.05, 0.01).u_prev == 0.05 and surro.u_prev is None
 
 
 def test_equilibrium_persists_without_stimulus():
-    cfg = hs.preset_config("example1", dt=0.01, t_end=2.0)
+    cfg = hs.SimConfig(dt=0.01, t_end=2.0)
     cfg.stimulus = hs.StimulusSpec(amplitude=0.0)
     out = hs.run_simulation(cfg)
     assert np.max(np.abs(out.u_l - 0.05)) <= 1e-4
@@ -132,7 +147,7 @@ def test_first_order_in_time():
     # Richardson on the interface value at a fixed horizon
     finals = {}
     for dt in (0.02, 0.01, 0.005):
-        cfg = hs.preset_config("example1", channel="zero", dt=dt, t_end=1.5)
+        cfg = hs.SimConfig(channel="zero", dt=dt, t_end=1.5)
         finals[dt] = hs.run_simulation(cfg).final_state.u[0]
     d1 = abs(finals[0.02] - finals[0.01])
     d2 = abs(finals[0.01] - finals[0.005])
@@ -180,7 +195,7 @@ def test_conservation_drift_is_first_order_in_dt():
 
 
 def test_negative_undershoot_policy():
-    cfg = hs.preset_config("example1", dt=1e-3)
+    cfg = hs.SimConfig(dt=1e-3)
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
     # roundoff-scale: clamped quietly, so the Markov step, which rejects
@@ -190,13 +205,13 @@ def test_negative_undershoot_policy():
     hs.step_imex(hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel))
 
     u = rest.u.copy()
-    u[3] = -1e-7  # beyond roundoff: a real solver failure
-    with pytest.raises(StateInvariantError):
-        hs.step_imex(hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel))
+    u[3] = -1e-7  # beyond roundoff: no state holds it, so no step starts from it
+    with pytest.raises(StateInvariantError, match="cytosolic calcium undershot to -1e-07"):
+        hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel)
 
 
 def test_depleted_store_aborts():
-    cfg = hs.preset_config("example1", dt=1e-3)
+    cfg = hs.SimConfig(dt=1e-3)
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
     state = hs.SimState(cfg, sys_, rest.u, rest.b, np.zeros_like(rest.ue), rest.channel)
@@ -205,7 +220,7 @@ def test_depleted_store_aborts():
 
 
 def test_wave_onset_travels_inward():
-    cfg = hs.preset_config("example1", dt=1.0 / 500, t_end=2.0)
+    cfg = hs.SimConfig(dt=1.0 / 500, t_end=2.0)
     out = hs.run_simulation(cfg)
     threshold = 2.0 * cfg.u_init
     assert np.any(out.u_r > threshold) and np.any(out.u_l > threshold)
@@ -216,13 +231,13 @@ def test_wave_onset_travels_inward():
 
 
 def test_time_grid_must_divide_horizon():
-    cfg = hs.preset_config("example1", dt=0.036, t_end=4.0)
+    cfg = hs.SimConfig(dt=0.036, t_end=4.0)
     with pytest.raises(ConfigError):
         hs.run_simulation(cfg)
 
 
 def test_output_bookkeeping():
-    cfg = hs.preset_config("example1", dt=0.01, t_end=1.2)
+    cfg = hs.SimConfig(dt=0.01, t_end=1.2)
     out = hs.run_simulation(cfg)
     assert out.times.shape == (121,)  # t = 0 and every one of the 120 steps
     assert np.allclose(np.diff(out.times), cfg.dt, rtol=1e-9, atol=0.0)
@@ -236,7 +251,7 @@ def test_output_bookkeeping():
 
 
 def test_csv_round_trip_and_determinism(tmp_path):
-    cfg = hs.preset_config("example1", dt=0.01, t_end=0.3)
+    cfg = hs.SimConfig(dt=0.01, t_end=0.3)
     out1 = hs.run_simulation(cfg)
     out2 = hs.run_simulation(cfg)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -251,10 +266,11 @@ def test_csv_round_trip_and_determinism(tmp_path):
     assert np.array_equal(parsed[:, 4], out1.p)
 
 
-def test_surrogate_channel_runs():
-    params = sn.init_network(seed=0)  # untrained: rates are small but finite
-    cfg = hs.preset_config(
-        "example1-reduced", channel="surrogate", network=params, dt=0.0125, t_end=0.5
+def test_surrogate_channel_runs(tmp_path):
+    weights = saved_network(tmp_path / "weights.cwnn", seed=0)  # untrained: small, finite rates
+    reduced = hs.StimulusSpec(hs.PRESET_AMPLITUDES["example1-reduced"])
+    cfg = hs.SimConfig(
+        stimulus=reduced, channel="surrogate", weights_path=weights, dt=0.0125, t_end=0.5
     )
     out = hs.run_simulation(cfg)
     assert np.all(out.p >= 0.0) and np.all(out.p <= 1.0)
@@ -262,7 +278,7 @@ def test_surrogate_channel_runs():
 
 
 def test_wave_duration_definition():
-    cfg = hs.preset_config("example1", dt=1.0 / 500, t_end=2.0)
+    cfg = hs.SimConfig(dt=1.0 / 500, t_end=2.0)
     out = hs.run_simulation(cfg)
     above = out.u_l > 2.0 * cfg.u_init
     runs, best = 0, 0
@@ -346,6 +362,31 @@ def reference_step(state, cfg):
     return _fixed_point(state.u, u_system), b_new, _fixed_point(state.ue, ue_system)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(cyto_elements=st.integers(1, 160), er_elements=st.integers(1, 160))
+@example(cyto_elements=1, er_elements=1)
+@example(cyto_elements=160, er_elements=160)
+def test_one_solve_gives_the_er_response(cyto_elements, er_elements):
+    # column 1 of the step's block-diagonal solve, on the u_e rows, is g_e as
+    # the static u_e block alone gives it, bit for bit; the b rows of the
+    # unit columns stay zero
+    cfg = hs.SimConfig(channel="zero", cyto_elements=cyto_elements, er_elements=er_elements)
+    state = hs.make_initial_state(cfg)
+    solves = []
+
+    def recording(*args):
+        solves.append(fem_core.solve_tridiagonal(*args))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hs, "solve_tridiagonal", recording)
+        hs.step_imex(state)
+    (x,) = solves
+    n_c = state.n_c
+    assert np.array_equal(x[2 * n_c :, 1], _static_er_response(cfg))
+    assert np.all(x[n_c : 2 * n_c, 1:] == 0.0)
+
+
 def _perturbed(n, low, high):
     return arrays(np.float64, n, elements=st.floats(low, high), fill=st.nothing())
 
@@ -390,9 +431,7 @@ def _left_band(name, field, cfg):
 def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, plasma):
     # roundoff undershoots in [-1e-8, 0) are clamped for the reaction and
     # flux terms, while the data keep the raw values
-    cfg = hs.preset_config(
-        "example1", cyto_elements=12, er_elements=8, dt=dt, **({} if plasma else SEALED)
-    )
+    cfg = hs.SimConfig(cyto_elements=12, er_elements=8, dt=dt, **({} if plasma else SEALED))
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
     fields = {"u": rest.u + du, "b": rest.b + db, "ue": rest.ue + due}
@@ -415,14 +454,14 @@ def test_step_matches_dense_reference(du, db, due, undershoots, p_open, dt, t, p
 def test_a_raising_step_leaves_its_state_untouched():
     # the sharp buffer front pinned above: b drops from rest to zero over the
     # first two nodes, and the step drives it below the band
-    cfg = hs.preset_config("example1", cyto_elements=12, er_elements=8, dt=1e-4)
+    cfg = hs.SimConfig(cyto_elements=12, er_elements=8, dt=1e-4)
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
     b = rest.b.copy()
     b[0], b[1] = -8.986517029647154e-09, -1e-08
     state = hs.SimState(cfg, sys_, rest.u, b, rest.ue, hs.initial_channel(cfg))
     fields = [getattr(state, name).copy() for name in ("u", "b", "ue")]
-    t, lows, u_max, channel = state.t, list(state.lows), state.u_max, state.channel
+    t, u_max, channel = state.t, state.u_max, state.channel
     errors = []
     for _ in range(2):
         with pytest.raises(StateInvariantError, match="free buffer left") as exc:
@@ -430,12 +469,14 @@ def test_a_raising_step_leaves_its_state_untouched():
         errors.append(str(exc.value))
         for name, before in zip(("u", "b", "ue"), fields):
             assert np.array_equal(getattr(state, name), before), name
-        assert state.t == t and state.lows == lows and state.u_max == u_max
+        assert state.t == t and state.u_max == u_max
         assert state.channel is channel
     assert errors[0] == errors[1]
 
 
-SURROGATE = sn.init_network(seed=5)
+@pytest.fixture(scope="module")
+def surrogate_weights(tmp_path_factory):
+    return saved_network(tmp_path_factory.mktemp("surrogate") / "weights.cwnn", seed=5)
 
 
 def _chain_of_steps(cfg):
@@ -460,13 +501,15 @@ def _chain_of_steps(cfg):
     steps=st.integers(1, 30),
     dt=st.sampled_from([1e-3, 1e-2, 4e-2]),
 )
-def test_run_is_a_chain_of_steps(channel, plasma, cyto_elements, er_elements, steps, dt):
+def test_run_is_a_chain_of_steps(
+    surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt
+):
     # the run and a chain of step_imex calls on a state of our own must agree
     # bit for bit, and two runs must not share a field buffer
-    cfg = hs.preset_config(
-        "example1", channel=channel, cyto_elements=cyto_elements, er_elements=er_elements,
-        dt=dt, t_end=steps * dt, network=SURROGATE if channel == "surrogate" else None,
-        **({} if plasma else SEALED),
+    weights = surrogate_weights if channel == "surrogate" else None
+    cfg = hs.SimConfig(
+        channel=channel, cyto_elements=cyto_elements, er_elements=er_elements,
+        dt=dt, t_end=steps * dt, weights_path=weights, **({} if plasma else SEALED),
     )
     out, again = hs.run_simulation(cfg), hs.run_simulation(cfg)
     series, u_max, final = _chain_of_steps(cfg)
@@ -481,10 +524,20 @@ def test_run_is_a_chain_of_steps(channel, plasma, cyto_elements, er_elements, st
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
+def _static_er_response(cfg):
+    """g_e: the static u_e block's response to unit data at r = L, solved alone."""
+    sys_ = hs.build_system(cfg)
+    block = fem_core.BandedMatrix(sys_.static[:, 2 * sys_.cyto.num_nodes :])
+    unit_l = np.zeros(sys_.er.num_nodes)
+    unit_l[-1] = 1.0
+    return fem_core.solve_tridiagonal(block.lower, block.diag, block.upper, unit_l)
+
+
 def _singular_er_slope(cfg):
     """A SERCA slope d/du_e that makes the ER Sherman-Morrison denominator
-    1 + (gate - slope) g_e(L) exactly zero, with the channel shut (P = 0)."""
-    g_el = float(hs.build_system(cfg).g_e[-1])
+    1 + (gate - slope) g_e(L) exactly zero, with the channel shut (P = 0).
+    Only a g_e(L) equal bit for bit to the one step_imex reads makes it zero."""
+    g_el = float(_static_er_response(cfg)[-1])
     gate = cfg.er.ryr_scale * 0.0 + cfg.er.leak
     slope = gate + 1.0 / g_el
     for _ in range(64):
@@ -503,7 +556,7 @@ def _patch_serca_slope(monkeypatch, slope):
 
 
 def test_singular_boundary_system_raises(monkeypatch):
-    cfg = hs.preset_config("example1", channel="zero", cyto_elements=8, er_elements=8)
+    cfg = hs.SimConfig(channel="zero", cyto_elements=8, er_elements=8)
     _patch_serca_slope(monkeypatch, _singular_er_slope(cfg))
     sys_ = hs.build_system(cfg)
     with pytest.raises(SingularMatrixError):
