@@ -105,8 +105,9 @@ def _ncx_law(u, params: PlasmaParams):
 def outer_pumps(u, params: PlasmaParams = PlasmaParams()):
     """Outward PMCA + NCX rate and its slope d/du, without input checks.
 
-    The solver's boundary iterates may sit a hair below zero (it clamps only
-    below -1e-8), so this path, unlike pmca/ncx, accepts any finite u.
+    The IMEX step clamps its fields at zero before the flux terms, but not
+    its boundary-pass iterates ul and ur, which may sit below zero; so this
+    path, unlike pmca/ncx, accepts any finite u.
     """
     pmca_rate, pmca_slope = _pmca_law(u, params)
     ncx_rate, ncx_slope = _ncx_law(u, params)
@@ -116,7 +117,8 @@ def outer_pumps(u, params: PlasmaParams = PlasmaParams()):
 def serca_pump(u, u_e, params: ErParams = ErParams()):
     """SERCA rate scale*u/((k + u) u_e) with its slopes d/du and d/du_e.
 
-    No input checks, for the same reason as outer_pumps.
+    No input checks, for the same reason as outer_pumps (u may be the iterate
+    ul); the step keeps its u_e iterate uel above ER_CONCENTRATION_FLOOR.
     """
     rate = params.serca_scale * u / ((params.serca_k + u) * u_e)
     slope_u = params.serca_scale * params.serca_k / ((params.serca_k + u) ** 2 * u_e)

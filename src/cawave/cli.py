@@ -11,14 +11,15 @@ Subcommands:
   steady       tabulate gating fixed points over a calcium grid
 
 Every subcommand accepts --config/--seed/--out; gen-data labels in one thread
-and accepts --threads only as 1, which the benchmark passes.  Exit codes: 0 on
-success, 2 for configuration errors (including argparse failures), 3 for
+and accepts --threads only as 1, which the benchmark passes.  A flag for a
+run setting sets the INI keys FLAG_KEYS names, and each command reads its
+settings from the config alone.  Exit codes: 0 on success, 2 for config
+errors (argparse failures and seeds outside [0, 2**64 - 1] included), 3 for
 numeric failures, 4 for I/O errors.  Each output file gets a sidecar
-<file>.meta.json recording the config digest, seed, and library versions;
-train's sidecars also record the effective training values and the input
-dataset's name and CRC32, and simulate's the digest of the effective
-SimConfig and the weight file's CRC32.  The data files themselves carry no
-timestamps, so fixed seeds reproduce them bit for bit.
+<file>.meta.json recording the effective config, its digest, the seed and
+library versions; train's also record the subset and the input dataset's
+name and CRC32, simulate's the channel and the weight file's CRC32.  The
+data files carry no timestamps, so fixed seeds reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -37,12 +38,24 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, NumericError
 
 MAX_SEED = 2**64 - 1
+# flag -> the config keys its value sets; --preset's value is the amplitude
+# PRESET_AMPLITUDES gives its name
+FLAG_KEYS = {
+    "seed": (("network", "seed"), ("dataset", "seed")),
+    "signals": (("dataset", "signals"),),
+    "epochs": (("network", "epochs"),),
+    "dt": (("time", "dt"),),
+    "t_end": (("time", "t_end"),),
+    "elements": (("geometry", "er_elements"), ("geometry", "cyto_elements")),
+    "preset": (("stimulus", "amplitude"),),
+}
 
 
 def _write_sidecar(path, command: str, cfg: RunConfig, seed, extra=None) -> None:
     meta = {
         "file": os.path.basename(path),
         "command": command,
+        "config": cfg.values,
         "config_sha256": cfg.digest(),
         "seed": seed,
         "versions": {
@@ -64,28 +77,31 @@ def _input_file(path) -> dict:
 
 
 def _prepare(args):
-    """Shared option handling: config load, seed override, output directory."""
+    """Shared option handling: config load, flags, seed range, output directory."""
     cfg = load_config(args.config)
-    if args.seed is not None:
-        if not 0 <= args.seed <= MAX_SEED:
-            raise ConfigError(f"--seed must lie in [0, {MAX_SEED}], got {args.seed}")
-        cfg.values["network"]["seed"] = args.seed
-        cfg.values["dataset"]["seed"] = args.seed
+    flags = vars(args)
+    for flag, keys in FLAG_KEYS.items():
+        if (value := flags.get(flag)) is not None:
+            value = hybrid_solver.PRESET_AMPLITUDES[value] if flag == "preset" else value
+            for section, key in keys:
+                cfg.set(section, key, value)
+    for section, key in FLAG_KEYS["seed"]:
+        if not 0 <= (seed := cfg.get(section, key)) <= MAX_SEED:
+            raise ConfigError(f"[{section}] {key} must lie in [0, {MAX_SEED}], got {seed}")
     os.makedirs(args.out, exist_ok=True)
     return cfg
 
 
 def cmd_gen_data(args) -> int:
+    if args.set != "ode" and args.signals is not None:
+        raise ConfigError("--signals only applies to --set ode")
     cfg = _prepare(args)
     seed = cfg.get("dataset", "seed")
     if args.set == "ode":
-        num_signals = args.signals if args.signals is not None else cfg.get("dataset", "signals")
-        samples = datasets.build_ode_dataset(num_signals, seed, cfg.markov_rates())
+        samples = datasets.build_ode_dataset(**cfg.arguments("dataset"), rates=cfg.markov_rates())
         path = os.path.join(args.out, "ode_dataset.cwds")
-        print(f"ode grid: {num_signals} signals, {samples.shape[0]} samples")
+        print(f"ode grid: {cfg.get('dataset', 'signals')} signals, {samples.shape[0]} samples")
     else:
-        if args.signals is not None:
-            raise ConfigError("--signals only applies to --set ode")
         corpus = (
             datasets.gen_training_set_I()
             if args.set == "artificial-1"
@@ -108,22 +124,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _prepare(args)
-    net = cfg.values["network"]
-    epochs = args.epochs if args.epochs is not None else net["epochs"]
-    batch_size, val_fraction = net["batch_size"], net["validation_fraction"]
-    seed = net["seed"]
-
+    seed = cfg.get("network", "seed")
     samples = datasets.load_samples(args.data)
-    provenance = {
-        "training": {
-            "epochs": epochs,
-            "batch_size": batch_size,
-            "validation_fraction": val_fraction,
-            "subset": args.subset,
-            "learning_rate": net["learning_rate"],
-        },
-        "data": _input_file(args.data),
-    }
+    provenance = {"subset": args.subset, "data": _input_file(args.data)}
     if args.subset is not None:
         if not 1 <= args.subset <= samples.shape[0]:
             raise ConfigError(
@@ -133,14 +136,7 @@ def cmd_train(args) -> int:
         idx = np.sort(rng.choice(samples.shape[0], size=args.subset, replace=False))
         samples = samples[idx]
 
-    params, history = surrogate_net.train(
-        samples,
-        epochs=epochs,
-        batch_size=batch_size,
-        validation_fraction=val_fraction,
-        seed=seed,
-        learning_rate=net["learning_rate"],
-    )
+    params, history = surrogate_net.train(samples, **cfg.arguments("network"))
 
     weights_path = os.path.join(args.out, "weights.cwnn")
     surrogate_net.save_weights(weights_path, params)
@@ -153,7 +149,7 @@ def cmd_train(args) -> int:
             fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
     _write_sidecar(loss_path, "train", cfg, seed, provenance)
 
-    print(f"trained on {samples.shape[0]} samples for {epochs} epochs")
+    print(f"trained on {samples.shape[0]} samples for {cfg.get('network', 'epochs')} epochs")
     print(f"final train loss {history.train[-1]:.6e}, val loss {history.validation[-1]:.6e}")
     print(f"wrote {weights_path}")
     print(f"wrote {loss_path}")
@@ -161,33 +157,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if (args.channel == "surrogate") != (args.weights is not None):
+        raise ConfigError("--weights is required with --channel surrogate and allowed only there")
     cfg = _prepare(args)
-    overrides = {"channel": args.channel}
-    if args.preset is not None:
-        amplitude = hybrid_solver.PRESET_AMPLITUDES[args.preset]
-        overrides["stimulus"] = hybrid_solver.StimulusSpec(amplitude=amplitude)
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if args.elements is not None:
-        overrides["er_elements"] = args.elements
-        overrides["cyto_elements"] = args.elements
-    if args.channel == "surrogate":
-        if args.weights is None:
-            raise ConfigError("surrogate channel requires --weights")
-        overrides["weights_path"] = args.weights
-    elif args.weights is not None:
-        raise ConfigError("--weights only applies to --channel surrogate")
-
-    sim_cfg = cfg.sim_config(**overrides)
+    sim_cfg = cfg.sim_config(channel=args.channel, weights_path=args.weights)
     output = hybrid_solver.run_simulation(sim_cfg)
 
     path = os.path.join(args.out, "simulation.csv")
     hybrid_solver.write_simulation_csv(path, output)
-    run = {"sim_config_sha256": sim_cfg.digest()}
-    if sim_cfg.weights_path is not None:
-        run["weights"] = _input_file(sim_cfg.weights_path)
+    run = {"channel": args.channel}
+    if args.weights is not None:
+        run["weights"] = _input_file(args.weights)
     _write_sidecar(path, "simulate", cfg, cfg.get("network", "seed"), run)
 
     print(f"peak u(L) = {output.peak_u_l:.6f} at t = {output.peak_time:.6f}")
@@ -228,7 +208,7 @@ def cmd_steady(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI run configuration")
-    common.add_argument("--seed", type=int, help="override dataset and training seeds")
+    common.add_argument("--seed", type=int, help="sets [network] and [dataset] seed")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
 
     parser = argparse.ArgumentParser(
@@ -238,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", parents=[common], help="write a gating dataset")
     p.add_argument("--set", required=True, choices=["ode", "artificial-1", "artificial-2"])
-    p.add_argument("--signals", type=int, help="pulse-grid subset size (ode set only)")
+    p.add_argument("--signals", type=int, help="sets [dataset] signals (ode set only)")
     p.add_argument("--csv", action="store_true", help="also write a CSV copy")
     p.add_argument(
         "--threads", type=int, choices=[1], default=1, help="only 1; the benchmark passes it"
@@ -247,17 +227,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common], help="train the gating surrogate")
     p.add_argument("--data", required=True, metavar="PATH", help="CWDS sample file")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=int, help="sets [network] epochs")
     p.add_argument("--subset", type=int, help="train on a seeded random sample subset")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("simulate", parents=[common], help="run a coupled-cell scenario")
-    p.add_argument("--preset", choices=list(hybrid_solver.PRESET_AMPLITUDES))
+    presets = list(hybrid_solver.PRESET_AMPLITUDES)
+    p.add_argument("--preset", choices=presets, help="sets [stimulus] amplitude")
     p.add_argument("--channel", default="markov", choices=["markov", "surrogate", "zero"])
     p.add_argument("--weights", metavar="PATH", help="CWNN file for the surrogate channel")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--elements", type=int, help="element count for both meshes")
+    p.add_argument("--dt", type=float, help="sets [time] dt")
+    p.add_argument("--t-end", type=float, help="sets [time] t_end")
+    p.add_argument("--elements", type=int, help="sets [geometry] er_elements and cyto_elements")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("convergence", parents=[common], help="manufactured-solution study")

@@ -13,9 +13,11 @@ or keys are hard errors naming the offender, because a silently ignored typo
 parameter record rejects, such as a negative rate or [markov] occupancies off
 the simplex.
 
-The canonical rendering (schema order, repr-formatted values) feeds a sha256
-digest recorded in output sidecars, so two runs can be compared by hash
-regardless of how their input files were formatted.
+Command-line flags set keys over the file, and the commands read only the
+result ([network] and [dataset] as arguments(section)).  Its canonical
+rendering (schema order, repr-formatted values) feeds the sha256 digest that
+output sidecars record beside the values, so two runs compare by hash however
+their settings were given.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class RunConfig:
         kind = SCHEMA[section][key][0]
         try:
             value = _parse(kind, raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int too large for a float
             raise ConfigError(
                 f"config key '{key}' in [{section}] expects {kind.__name__}, got {raw!r}"
             ) from None
@@ -136,6 +138,10 @@ class RunConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
+
+    def arguments(self, section: str) -> dict:
+        """The values of a COMMANDS section, keyed by the parameters they stand for."""
+        return {name: self.values[section][key] for key, name in TARGETS[section].items()}
 
     # parameter-record views consumed by the solver modules
 

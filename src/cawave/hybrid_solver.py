@@ -61,9 +61,8 @@ check admit nothing below -1e-8, so the clamp only removes roundoff.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,10 +132,6 @@ class SimConfig:
             raise ConfigError("surrogate channel needs a weight file")
         if self.u_init < 0 or self.ue_init <= 0 or not 0 <= self.b_init <= self.buffer.total:
             raise ConfigError("initial concentrations out of range")
-
-    def digest(self) -> str:
-        """sha256 of the canonical repr of every field but the weight file path."""
-        return hashlib.sha256(repr(replace(self, weights_path=None)).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -336,14 +331,13 @@ def step_imex(state: SimState) -> None:
             f"outer-boundary iteration did not converge at t = {t_next}")
 
     # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
-    # gate - dSERCA/du_e on the L row as a Sherman-Morrison update
+    # gate - dSERCA/du_e on the L row as a Sherman-Morrison update; it starts
+    # from w[-1], above the floor as ue_l is, and checks each iterate it makes
     y_e, g_e = x[2 * n_c :, 0], x[2 * n_c :, 1]
     y_el, g_el = x[-1, :2].tolist()
     uel = float(w[-1])
     beta_e = None
     for _ in range(BOUNDARY_ITER_MAX + 1):
-        if uel <= channel_flux.ER_CONCENTRATION_FLOOR:
-            raise StateInvariantError(f"ER interface concentration collapsed: {uel}")
         serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
         s = gate - serca_d
         denom = 1.0 + s * g_el
@@ -351,6 +345,8 @@ def step_imex(state: SimState) -> None:
             raise SingularMatrixError(f"singular ER boundary system at t = {t_next}")
         new_beta = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
         new_l = y_el + new_beta * g_el
+        if new_l <= channel_flux.ER_CONCENTRATION_FLOOR:
+            raise StateInvariantError(f"ER interface concentration collapsed: {new_l}")
         if abs(new_l - uel) <= BOUNDARY_ITER_TOL:
             ue_new = y_e + new_beta * g_e
             change = ue_new - w[2 * n_c :] if beta_e is None else (new_beta - beta_e) * g_e

@@ -2,9 +2,12 @@
 
 Subcommands run in fresh subprocesses so the argparse layer, the exit-code
 mapping, and the on-disk artifacts are all exercised exactly as a user would
-hit them.
+hit them.  The checks that every run-setting flag sets its config keys, and
+gives the run and the sidecar its INI keys give, call cli.main in-process on
+tiny inputs.
 """
 
+import argparse
 import json
 import os
 import shlex
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from cawave import cli
+from cawave.config import RunConfig
 
 BASE = [sys.executable, "-m", "cawave"]
 
@@ -132,10 +136,11 @@ def test_train_sidecars_record_the_effective_training_run(workdir, tmp_path):
         assert weights_meta == loss_meta
         records.append(weights_meta)
     first, second = records
-    assert first["config_sha256"] == second["config_sha256"]  # the INI file alone
-    assert first != second
-    assert (first["training"]["epochs"], second["training"]["epochs"]) == (1, 2)
-    assert first["training"]["subset"] == 500 and first["training"]["batch_size"] == 640
+    assert first["config_sha256"] != second["config_sha256"]  # the effective config
+    networks = [meta["config"]["network"] for meta in records]
+    assert [network["epochs"] for network in networks] == [1, 2]
+    assert networks[0]["batch_size"] == 640 and networks[0]["seed"] == 4
+    assert first["subset"] == 500 and "training" not in first
     data = (workdir / "training_set_I.cwds").read_bytes()
     assert first["data"] == {
         "file": "training_set_I.cwds",
@@ -211,9 +216,10 @@ def test_simulate_sidecar_identifies_the_effective_run(tmp_path):
         )
         assert r.returncode == 0, r.stderr
         records[sub] = json.loads((tmp_path / sub / "simulation.csv.meta.json").read_text())
-    digests = {sub: meta["sim_config_sha256"] for sub, meta in records.items()}
-    assert digests["a"] == digests["b"] != digests["c"]
-    assert len({meta["config_sha256"] for meta in records.values()}) == 1  # the INI alone
+    digests = {sub: meta["config_sha256"] for sub, meta in records.items()}
+    assert digests["a"] == digests["b"] != digests["c"]  # the effective config
+    assert [records[sub]["config"]["time"]["dt"] for sub in "abc"] == [0.01, 0.01, 0.02]
+    assert records["a"]["channel"] == "zero" and "sim_config_sha256" not in records["a"]
     assert "weights" not in records["a"]
 
 
@@ -394,3 +400,114 @@ def test_bad_choice_and_threads(tmp_path):
         assert r.returncode == 2 and "unrecognized arguments" in r.stderr, argv
     r = run_cli("no-such-command", cwd=tmp_path)
     assert r.returncode == 2, r.stderr
+
+
+# flag -> (the rest of the command line, the flag's value, another value, the
+# value its config keys take); the other value must change config_sha256, so
+# gen-data --signals 3 and --signals 5 must write different digests
+FLAG_CASES = {
+    "seed": (["gen-data", "--set", "ode", "--signals", "3"], "7", "8", 7),
+    "signals": (["gen-data", "--set", "ode"], "3", "5", 3),
+    "epochs": (["train", "--subset", "300"], "1", "2", 1),
+    "dt": (["simulate", "--channel", "zero", "--elements", "4", "--t-end", "0.04"],
+           "0.02", "0.01", 0.02),
+    "t_end": (["simulate", "--channel", "zero", "--elements", "4", "--dt", "0.02"],
+              "0.04", "0.06", 0.04),
+    "elements": (["simulate", "--channel", "zero", "--dt", "0.02", "--t-end", "0.04"],
+                 "4", "5", 4),
+    "preset": (["simulate", "--channel", "zero", "--elements", "4", "--dt", "0.02",
+                "--t-end", "0.04"], "example1-reduced", "example1", 600.0),
+}
+
+
+def _run_in_process(argv, out):
+    """Exit code, data files and sidecars (less `created`) of one cli.main call."""
+    code = cli.main(argv + ["--out", str(out)])
+    data, sidecars = {}, {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith(".meta.json"):
+            meta = json.loads(path.read_text())
+            del meta["created"]
+            sidecars[path.name] = meta
+        else:
+            data[path.name] = path.read_bytes()
+    return code, data, sidecars
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpus")
+    assert cli.main(["gen-data", "--set", "ode", "--signals", "4", "--out", str(out)]) == 0
+    return out / "ode_dataset.cwds"
+
+
+@pytest.mark.parametrize("flag", cli.FLAG_KEYS)  # a flag with no case fails here
+def test_a_flag_and_its_config_keys_give_the_same_run(flag, tiny_corpus, tmp_path):
+    base, value, other, key_value = FLAG_CASES[flag]
+    if base[0] == "train":
+        base = base + ["--data", str(tiny_corpus)]
+    option = "--" + flag.replace("_", "-")
+    sections = {}
+    for section, key in cli.FLAG_KEYS[flag]:
+        sections.setdefault(section, []).append(f"{key} = {key_value!r}")
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+
+    by_flag = _run_in_process(base + [option, value], tmp_path / "flag")
+    by_config = _run_in_process(base + ["--config", str(ini)], tmp_path / "config")
+    changed = _run_in_process(base + [option, other], tmp_path / "other")
+    assert by_flag[0] == by_config[0] == changed[0] == 0
+    assert by_flag[1] and by_flag[1] == by_config[1]
+    assert by_flag[2] == by_config[2]
+    for meta in by_flag[2].values():
+        for section, key in cli.FLAG_KEYS[flag]:
+            assert meta["config"][section][key] == key_value
+        assert meta["config_sha256"] == RunConfig(values=meta["config"]).digest()
+    digests = {meta["config_sha256"] for run in (by_flag, changed) for meta in run[2].values()}
+    assert len(digests) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("section", ["dataset", "network"])
+def test_an_out_of_range_seed_is_a_config_error(section, seed, tmp_path, capsys):
+    # checked once, after the flags and before the output directory is made,
+    # for every command, whether or not it draws from that seed
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\nseed = {seed}\n")
+    out = tmp_path / "out"
+    commands = (["gen-data", "--set", "artificial-1"], ["gen-data", "--set", "ode"], ["steady"])
+    for command in commands:
+        assert cli.main(command + ["--config", str(ini), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] seed must lie in [0, {2**64 - 1}], got {seed}" in err
+        assert not out.exists()
+    assert cli.main(["steady", "--seed", str(seed), "--out", str(out)]) == 2
+    assert "[network] seed must lie" in capsys.readouterr().err  # --seed sets both keys
+    assert not out.exists()
+
+
+# value-taking options that set no config key, each with its reason
+NOT_CONFIG = {
+    "--config": "names the INI file that the keys come from",
+    "--out": "where the outputs go, not how they are made",
+    "--set": "which corpus gen-data writes; its file name says so",
+    "--data": "the input corpus; the train sidecar records its name and CRC32",
+    "--subset": "a row selection of the input corpus; the train sidecar records it",
+    "--channel": "the gating model; the simulate sidecar records it",
+    "--weights": "the input weight file; the simulate sidecar records its name and CRC32",
+    "--threads": "accepts only 1, which the benchmark's gen-data command line passes",
+}
+
+
+def test_every_value_option_sets_config_keys_or_is_named():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if action.nargs == 0 or not action.option_strings:
+                continue  # switches (--help, --csv) take no value
+            option = action.option_strings[0]
+            seen.add(option)
+            assert action.dest in cli.FLAG_KEYS or option in NOT_CONFIG, f"{name} {option}"
+    assert set(NOT_CONFIG) <= seen

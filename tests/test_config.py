@@ -4,7 +4,8 @@ A configuration written out in canonical form must load back to the same
 digest; any file, however malformed, must either load or raise ConfigError,
 which the CLI maps to exit code 2.  Every key must reach the program: a key
 outside [network] and [dataset] changes the solver record when perturbed, and
-the keys of those two sections are read by the commands.  The defaults live
+the CLI passes each key of those two sections to its command function, by
+parameter name, through RunConfig.arguments.  The defaults live
 in the library's records and function signatures, and SCHEMA is built from
 them: the default canonical text is pinned by its digest, every field of the
 solver's parameter records must be set by exactly one key, and the defaults
@@ -15,20 +16,18 @@ bypasses and the tests rely on.
 import hashlib
 import inspect
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cawave import config, datasets, surrogate_net
+from cawave import cli, datasets, surrogate_net
 from cawave.channel_flux import BufferParams, ErParams, PlasmaParams
 from cawave.config import COMMANDS, SCHEMA, TARGETS, RunConfig, load_config
 from cawave.errors import ConfigError
 from cawave.hybrid_solver import SimConfig, StimulusSpec
 from cawave.ryr_markov import MarkovRates, MarkovState
 
-CLI_SOURCE = (Path(config.__file__).parent / "cli.py").read_text()
 KEYS = [(section, key) for section, keys in SCHEMA.items() for key in keys]
 
 
@@ -149,10 +148,43 @@ def test_every_solver_key_reaches_sim_config(section, key):
     assert _perturbed(section, key).sim_config() != RunConfig().sim_config()
 
 
-@pytest.mark.parametrize("section, key", [k for k in KEYS if k[0] in ("network", "dataset")])
-def test_every_command_key_is_read_by_the_cli(section, key):
-    assert _perturbed(section, key).sim_config() == RunConfig().sim_config()
-    assert f'"{key}"' in CLI_SOURCE
+class _Called(Exception):
+    """Stops a command at the call under test."""
+
+
+def _command_line(section, directory):
+    """A command line that reaches the command function of section."""
+    if section == "dataset":
+        return ["gen-data", "--set", "ode"]
+    data = directory / "tiny.cwds"
+    datasets.save_samples(data, datasets.build_ode_dataset(num_signals=1))
+    return ["train", "--data", str(data)]
+
+
+@pytest.mark.parametrize("section, key", [k for k in KEYS if k[0] in COMMANDS])
+def test_every_command_key_is_read_by_the_cli(section, key, tmp_path, monkeypatch):
+    cfg = _perturbed(section, key)
+    assert cfg.sim_config() == RunConfig().sim_config()
+    arguments = cfg.arguments(section)
+    assert arguments[TARGETS[section][key]] == cfg.get(section, key)
+    assert arguments != RunConfig().arguments(section)
+
+    # the CLI calls the section's command with arguments(section) of its config
+    argv = _command_line(section, tmp_path)
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        raise _Called
+
+    command = COMMANDS[section]
+    monkeypatch.setattr(inspect.getmodule(command), command.__name__, record)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{key} = {cfg.get(section, key)!r}\n")
+    with pytest.raises(_Called):
+        cli.main(argv + ["--config", str(ini), "--out", str(tmp_path / "out")])
+    (kwargs,) = calls
+    assert {name: kwargs[name] for name in arguments} == arguments
 
 
 def _defaults(fn, *names):

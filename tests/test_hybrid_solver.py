@@ -14,7 +14,8 @@ a maximum principle, so where step_imex rejects a field that left its band,
 the reference's field must leave that band too.  A whole run must equal a
 chain of in-place step_imex calls bit for bit; a boundary system made
 exactly singular must raise SingularMatrixError, and the CLI must report it
-with exit code 3.  The step's one solve must give g_e, the u_e block's
+with exit code 3; an ER interface iterate at or below the collapse floor
+must raise in the step that makes it.  The step's one solve must give g_e, the u_e block's
 response to unit data at r = L, bit for bit as the block alone would.
 """
 
@@ -570,3 +571,23 @@ def test_singular_boundary_system_exits_3(monkeypatch, tmp_path, capsys):
             "--elements", "8", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     assert "singular ER boundary system" in capsys.readouterr().err
+
+
+def test_a_collapsing_er_iterate_raises_at_once(monkeypatch):
+    # The store holds 5e-11 everywhere, above the collapse floor of 1e-12.  A
+    # constant SERCA rate, with zero slopes, pulls the L node down by 6e-11 in
+    # a first pass that already converges: the iterate is at or below the
+    # floor, yet inside the range check's band.  The step must raise then and
+    # there, not commit it for the next step to find.
+    cfg = hs.SimConfig(channel="zero", cyto_elements=8, er_elements=8)
+    sys_ = hs.build_system(cfg)
+    rest = hs.make_initial_state(cfg, sys_)
+    level, drop = 5e-11, 6e-11
+    g_el, gate = float(_static_er_response(cfg)[-1]), cfg.er.leak
+    rate = gate * (level - rest.u[0]) - drop * (1.0 + gate * g_el) / g_el
+    monkeypatch.setattr(hs, "serca_pump", lambda u, u_e, params: (rate, 0.0, 0.0))
+    ue = np.full_like(rest.ue, level)
+    state = hs.SimState(cfg, sys_, rest.u, rest.b, ue, rest.channel)
+    with pytest.raises(StateInvariantError, match="ER interface concentration collapsed"):
+        hs.step_imex(state)
+    assert state.t == 0.0 and np.array_equal(state.ue, ue)
