@@ -16,10 +16,11 @@ run setting sets the INI keys FLAG_KEYS names, and each command reads its
 settings from the config alone.  Exit codes: 0 on success, 2 for config
 errors (argparse failures and seeds outside [0, 2**64 - 1] included), 3 for
 numeric failures, 4 for I/O errors.  Each output file gets a sidecar
-<file>.meta.json recording the effective config, its digest, the seed and
-library versions; train's also record the subset and the input dataset's
-name and CRC32, simulate's the channel and the weight file's CRC32.  The
-data files carry no timestamps, so fixed seeds reproduce them bit for bit.
+<file>.meta.json recording the effective config (seeds included), its
+digest and library versions; train's also record the subset and the input
+dataset's name and CRC32, simulate's the channel and the weight file's
+CRC32.  The data files carry no timestamps, so fixed seeds reproduce them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -51,13 +52,12 @@ FLAG_KEYS = {
 }
 
 
-def _write_sidecar(path, command: str, cfg: RunConfig, seed, extra=None) -> None:
+def _write_sidecar(path, command: str, cfg: RunConfig, extra=None) -> None:
     meta = {
         "file": os.path.basename(path),
         "command": command,
         "config": cfg.values,
         "config_sha256": cfg.digest(),
-        "seed": seed,
         "versions": {
             "package": __version__,
             "numpy": np.__version__,
@@ -96,7 +96,6 @@ def cmd_gen_data(args) -> int:
     if args.set != "ode" and args.signals is not None:
         raise ConfigError("--signals only applies to --set ode")
     cfg = _prepare(args)
-    seed = cfg.get("dataset", "seed")
     if args.set == "ode":
         samples = datasets.build_ode_dataset(**cfg.arguments("dataset"), rates=cfg.markov_rates())
         path = os.path.join(args.out, "ode_dataset.cwds")
@@ -112,19 +111,18 @@ def cmd_gen_data(args) -> int:
         path = os.path.join(args.out, f"{stem}.cwds")
         print(f"{args.set}: {len(corpus[0])} series, {samples.shape[0]} samples")
     datasets.save_samples(path, samples)
-    _write_sidecar(path, "gen-data", cfg, seed)
+    _write_sidecar(path, "gen-data", cfg)
     print(f"wrote {path}")
     if args.csv:
         csv_path = os.path.splitext(path)[0] + ".csv"
         datasets.write_samples_csv(csv_path, samples)
-        _write_sidecar(csv_path, "gen-data", cfg, seed)
+        _write_sidecar(csv_path, "gen-data", cfg)
         print(f"wrote {csv_path}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _prepare(args)
-    seed = cfg.get("network", "seed")
     samples = datasets.load_samples(args.data)
     provenance = {"subset": args.subset, "data": _input_file(args.data)}
     if args.subset is not None:
@@ -132,7 +130,7 @@ def cmd_train(args) -> int:
             raise ConfigError(
                 f"--subset must lie in [1, {samples.shape[0]}], got {args.subset}"
             )
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.get("network", "seed"))
         idx = np.sort(rng.choice(samples.shape[0], size=args.subset, replace=False))
         samples = samples[idx]
 
@@ -140,14 +138,14 @@ def cmd_train(args) -> int:
 
     weights_path = os.path.join(args.out, "weights.cwnn")
     surrogate_net.save_weights(weights_path, params)
-    _write_sidecar(weights_path, "train", cfg, seed, provenance)
+    _write_sidecar(weights_path, "train", cfg, provenance)
 
     loss_path = os.path.join(args.out, "loss_history.csv")
     with open(loss_path, "w") as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for epoch, (tr, va) in enumerate(zip(history.train, history.validation), start=1):
             fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
-    _write_sidecar(loss_path, "train", cfg, seed, provenance)
+    _write_sidecar(loss_path, "train", cfg, provenance)
 
     print(f"trained on {samples.shape[0]} samples for {cfg.get('network', 'epochs')} epochs")
     print(f"final train loss {history.train[-1]:.6e}, val loss {history.validation[-1]:.6e}")
@@ -168,7 +166,7 @@ def cmd_simulate(args) -> int:
     run = {"channel": args.channel}
     if args.weights is not None:
         run["weights"] = _input_file(args.weights)
-    _write_sidecar(path, "simulate", cfg, cfg.get("network", "seed"), run)
+    _write_sidecar(path, "simulate", cfg, run)
 
     print(f"peak u(L) = {output.peak_u_l:.6f} at t = {output.peak_time:.6f}")
     print(f"peak u anywhere = {output.peak_u_anywhere:.6f}")
@@ -182,7 +180,7 @@ def cmd_convergence(args) -> int:
     rows = convergence.run_convergence_study()
     path = os.path.join(args.out, "convergence.csv")
     convergence.write_convergence_csv(path, rows)
-    _write_sidecar(path, "convergence", cfg, cfg.get("network", "seed"))
+    _write_sidecar(path, "convergence", cfg)
     for row in rows:
         order = "     -" if np.isnan(row.order) else f"{row.order:6.3f}"
         print(

@@ -85,16 +85,18 @@ SCHEMA = _build_schema()
 
 
 def _parse(kind, raw):
-    """raw as a float, or exactly as an int for int keys; inf and nan are returned."""
+    """raw exactly as an int for int keys, else as a float; inf and nan are returned."""
+    if kind is int:
+        try:
+            return int(raw)  # exact for integer literals of any size
+        except ValueError:  # "4e3" or "40.0" go through float
+            pass
     value = float(raw)
     if kind is float or not math.isfinite(value):
         return value
-    try:
-        return int(raw)  # exact for integer literals of any size
-    except ValueError:  # "4e3" or "40.0"; the silent truncation of "40.5" is rejected
-        if not value.is_integer():
-            raise
-        return int(value)
+    if not value.is_integer():  # the silent truncation of "40.5" is rejected
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
 
 
 @dataclass
@@ -123,7 +125,7 @@ class RunConfig:
             raise ConfigError(
                 f"config key '{key}' in [{section}] expects {kind.__name__}, got {raw!r}"
             ) from None
-        if not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):  # an int is finite
             raise ConfigError(f"config key '{key}' in [{section}] must be finite, got {raw!r}")
         self.values[section][key] = kind(value)
 

@@ -12,10 +12,13 @@ All parameters live in one flat float64 vector, NetworkParams.theta, in the
 CWNN layer order (W0, b0, W1, b1, ...); the per-layer weights and biases are
 reshaped views into it.  Gradients use the same layout, so Adam is a handful
 of in-place vector operations on theta and its two moment vectors.  A
-training run allocates its batch, activation, delta and gradient buffers once
-(a _Workspace) and every minibatch writes into them.  forward works through
-its input in blocks of FORWARD_BLOCK_ROWS rows, so a validation pass never
-holds more than one block's activations.
+training run allocates one batch's buffers once (a _Workspace): every
+minibatch and every block of the per-epoch validation pass is gathered from
+the corpus by index into them, and backward writes each layer's delta over
+that layer's activations.  Beyond the corpus, train holds only those
+buffers, the Adam moments and two int32 index arrays (the split and the
+epoch order, shuffled in place).  forward works through its input in blocks
+of FORWARD_BLOCK_ROWS rows, through one block's activation buffers.
 
 During a simulation the network advances the open probability explicitly,
 
@@ -89,17 +92,24 @@ class NetworkParams:
             pos += fan_out
 
 
+def _activation_buffers(rows: int) -> list:
+    return [np.empty((rows, n)) for n in LAYER_SIZES[1:]]
+
+
 class _Workspace:
     """Buffers for forward/backward over up to `rows` samples, allocated once.
 
-    A smaller batch uses the first rows of each buffer.  The gradients are
-    overwritten by every backward call that is handed this workspace.
+    batch holds the sample rows gathered for a minibatch or a validation
+    block, acts each layer's outputs, masks the hidden layers' ReLU masks and
+    grads one flat gradient.  A smaller block uses the first rows of each
+    buffer.  backward leaves each layer's delta in that layer's acts buffer
+    and overwrites the gradients; a loss over a workspace overwrites batch
+    and acts.
     """
 
     def __init__(self, rows: int):
         self.batch = np.empty((rows, 4))
-        self.acts = [np.empty((rows, n)) for n in LAYER_SIZES[1:]]
-        self.deltas = [np.empty((rows, n)) for n in LAYER_SIZES[1:-1]]
+        self.acts = _activation_buffers(rows)
         self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
         self.grads = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
 
@@ -130,6 +140,26 @@ def _forward_pass(params: NetworkParams, x: np.ndarray, acts: list) -> np.ndarra
     return a[:, 0]
 
 
+def _forward_blocks(params: NetworkParams, data: np.ndarray, acts: list, rows=None, batch=None):
+    """Yield (block, x, outputs) over the rows of data, or those listed in
+    rows, as many at a time as the acts buffers hold.
+
+    block is the slice of the rows the block covers and x its rows of data;
+    listed rows are gathered into the batch buffer.  outputs are the network's
+    for x[:, :3], a view into acts[-1].  Rows are independent, so the block
+    size changes no bit of any output.
+    """
+    n = data.shape[0] if rows is None else rows.size
+    size = acts[0].shape[0]
+    for start in range(0, n, max(size, 1)):  # buffers of 0 rows only for 0 rows
+        block = slice(start, min(start + size, n))
+        if rows is None:
+            x = data[block]
+        else:
+            x = data.take(rows[block], axis=0, out=batch[: block.stop - start], mode="clip")
+        yield block, x, _forward_pass(params, x[:, :3], acts)
+
+
 def forward(params: NetworkParams, x: np.ndarray):
     """Network output for a single input (3,) or a batch (N, 3).
 
@@ -142,13 +172,10 @@ def forward(params: NetworkParams, x: np.ndarray):
     a = x[None, :] if single else x
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
-    n = a.shape[0]
-    rows = min(n, FORWARD_BLOCK_ROWS)
-    acts = [np.empty((rows, k)) for k in LAYER_SIZES[1:]]
-    out = np.empty(n)
-    for start in range(0, n, FORWARD_BLOCK_ROWS):
-        stop = start + FORWARD_BLOCK_ROWS
-        out[start:stop] = _forward_pass(params, a[start:stop], acts)
+    out = np.empty(a.shape[0])
+    acts = _activation_buffers(min(a.shape[0], FORWARD_BLOCK_ROWS))
+    for block, _, pred in _forward_blocks(params, a, acts):
+        out[block] = pred
     return float(out[0]) if single else out
 
 
@@ -159,12 +186,24 @@ def _check_batch(batch) -> np.ndarray:
     return batch
 
 
-def loss(params: NetworkParams, batch: np.ndarray) -> float:
-    """Mean squared error of predicted dP/dt over a (N, 4) sample block."""
-    batch = _check_batch(batch)
-    pred = forward(params, batch[:, :3])
-    err = pred - batch[:, 3]
-    return float(np.mean(err * err))
+def loss(params: NetworkParams, samples: np.ndarray, rows=None, workspace=None) -> float:
+    """Mean squared error of predicted dP/dt over a (N, 4) sample block, or
+    over its rows listed in rows.
+
+    The rows run through the workspace's buffers a block at a time (listed
+    rows are gathered into its batch buffer, so none is copied out of
+    samples); without a workspace, one of min(N, FORWARD_BLOCK_ROWS) rows is
+    made for this call.  The errors fill one vector, squared in place, whose
+    mean is one pairwise sum.
+    """
+    samples = _check_batch(samples)
+    n = samples.shape[0] if rows is None else rows.size
+    work = workspace if workspace is not None else _Workspace(min(n, FORWARD_BLOCK_ROWS))
+    err = np.empty(n)
+    for block, batch, pred in _forward_blocks(params, samples, work.acts, rows, work.batch):
+        np.subtract(pred, batch[:, 3], out=err[block])
+    np.multiply(err, err, out=err)
+    return float(np.mean(err))
 
 
 def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | None = None):
@@ -176,7 +215,10 @@ def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | N
     exactly 0 is taken as 0 (the unit stays off).  With a workspace of at
     least N rows, every intermediate and the gradients go into its buffers
     (and the returned grads are the workspace's); without one, they are
-    allocated for this call.
+    allocated for this call.  After the call the workspace's acts buffers
+    hold the deltas (d loss / d pre-activation of each layer), not the
+    activations: each hidden layer's delta is written over its activations
+    once its ReLU mask is taken.
     """
     batch = _check_batch(batch)
     n = batch.shape[0]
@@ -193,10 +235,13 @@ def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | N
     np.matmul(delta.T, acts[-1], out=grads.weights[-1])
     np.sum(delta, axis=0, out=grads.biases[-1])
     for layer in range(len(params.weights) - 2, -1, -1):
-        hidden = work.deltas[layer][:n]
+        # post-activation > 0 exactly where the pre-activation is > 0; once
+        # the mask is taken the layer's activations are not read again, and
+        # its delta is written over them
+        hidden = acts[layer + 1]
+        mask = np.greater(hidden, 0.0, out=work.masks[layer][:n])
         np.matmul(delta, params.weights[layer + 1], out=hidden)
-        # post-activation > 0 exactly where the pre-activation is > 0
-        hidden *= np.greater(acts[layer + 1], 0.0, out=work.masks[layer][:n])
+        hidden *= mask
         np.matmul(hidden.T, acts[layer], out=grads.weights[layer])
         np.sum(hidden, axis=0, out=grads.biases[layer])
         delta = hidden
@@ -262,9 +307,20 @@ class LossHistory:
     validation: np.ndarray
 
 
+def _index_range(n: int) -> np.ndarray:
+    """0 .. n-1 as int32, or as intp where int32 cannot hold them."""
+    return np.arange(n, dtype=np.int32 if n < 2**31 else np.intp)
+
+
 def validation_split(n_samples: int, validation_fraction: float, rng: np.random.Generator):
-    """Seeded shuffle, validation = trailing fraction (rounded) of the shuffle."""
-    perm = rng.permutation(n_samples)
+    """Seeded shuffle, validation = trailing fraction (rounded) of the shuffle.
+
+    The shuffle is an int32 index range shuffled in place, which draws what
+    rng.permutation(n_samples) draws and gives the same order; both splits
+    are views of it.
+    """
+    perm = _index_range(n_samples)
+    rng.shuffle(perm)
     n_val = int(round(validation_fraction * n_samples))
     if n_val >= n_samples:
         raise ValueError("validation fraction leaves no training data")
@@ -284,9 +340,10 @@ def train(
     The epoch training loss is the sample-weighted mean of minibatch losses
     (each evaluated before its update); the validation loss is a full pass at
     the end of the epoch over the held-out trailing split.  Training starts
-    from init_network(seed) and fresh Adam moments.  The training split is
-    never copied out of samples: each minibatch is gathered from samples by
-    index into the workspace's batch buffer.
+    from init_network(seed) and fresh Adam moments.  Neither split is ever
+    copied out of samples: each minibatch and each validation block is
+    gathered from samples by index into the one workspace's batch buffer.
+    The epoch order is one index buffer, refilled and shuffled in place.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -301,15 +358,14 @@ def train(
     params = init_network(seed)
 
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
-    # a whole block: the validation mean sums it pairwise
-    val_set = samples[val_idx]
-
     n_train = train_idx.size
     work = _Workspace(min(batch_size, n_train))
+    order = _index_range(n_train)
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
     for epoch in range(epochs):
-        order = rng.permutation(n_train)
+        order.sort()  # back to 0 .. n_train-1, so the shuffle is rng.permutation(n_train)
+        rng.shuffle(order)
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
             idx = train_idx[order[start : start + batch_size]]
@@ -320,7 +376,7 @@ def train(
             params, state = adam_step(params, grads, state)
             loss_sum += batch_loss * batch.shape[0]
         train_hist[epoch] = loss_sum / n_train
-        val_hist[epoch] = loss(params, val_set) if val_set.size else np.nan
+        val_hist[epoch] = loss(params, samples, val_idx, work) if val_idx.size else np.nan
     return params, LossHistory(train_hist, val_hist)
 
 

@@ -9,8 +9,10 @@ Every corpus byte should be held once from generation to minibatch.  On the
   from its own buffer;
 * load_samples peaks at no more than the file size plus 1 MiB, the one
   buffer it reads the file into;
-* one training epoch allocates less than the corpus plus 5 MiB beyond the
-  corpus it is given, because minibatches are gathered from it by index.
+* train allocates less than 5 MiB beyond the corpus it is given, and no
+  more for three epochs than for one: every minibatch and validation block
+  is gathered from the corpus by index into one batch's buffers, its index
+  arrays are int32, and the epoch order is shuffled in place.
 
 tracemalloc counts only what is allocated while it runs, numpy's array data
 included, so each peak excludes the arguments handed in.
@@ -69,4 +71,12 @@ def test_load_samples_reads_into_one_buffer(corpus, corpus_file):
 
 def test_training_epoch_does_not_copy_the_corpus(corpus):
     _, peak = traced_peak(sn.train, corpus, epochs=1, seed=SEED)
-    assert peak < corpus.nbytes + 5 * MIB, peak / MIB
+    assert peak < 5 * MIB, peak / MIB
+
+
+def test_training_peak_does_not_grow_with_epochs(corpus):
+    # the one-epoch run goes first, so any first-call allocation counts
+    # against it; only the two (epochs,) loss histories may grow
+    _, one = traced_peak(sn.train, corpus, epochs=1, seed=SEED)
+    _, three = traced_peak(sn.train, corpus, epochs=3, seed=SEED)
+    assert three <= one + 2 * 8 * (3 - 1), (one, three)

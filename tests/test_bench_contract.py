@@ -5,7 +5,9 @@ module functions, and bench/run.py runs each workload as cawave command
 lines.  A change in src/ that renames a traced function or drops an option
 the workloads pass would break the benchmark only when it runs; these checks
 catch it in the test suite instead.  A traced run must also count each of
-its steps, which it does only if the run calls the wrapped step.
+its steps, which it does only if the run calls the wrapped step, and a traced
+training run each batch's backward and Adam step and each epoch's validation
+loss.
 bench/run.py pins the BLAS thread variables when it is imported; monkeypatch
 sets them first so that teardown restores them.
 """
@@ -13,6 +15,7 @@ sets them first so that teardown restores them.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cawave
@@ -65,6 +68,27 @@ def test_trace_sees_every_step_of_a_run(bench):
     stats = tracer.layer_stats()
     assert stats.calls("hybrid_solver.step_imex") == 5
     assert stats.nested_calls("fem_core.solve_tridiagonal", "hybrid_solver.step_imex") == 5
+
+
+def test_trace_counts_each_batch_and_each_validation_pass(bench):
+    # train reaches backward, adam_step and loss through the module
+    # attributes: 900 training rows in batches of 64 are 15 batches, and the
+    # 100 validation rows are one loss call however many blocks they span
+    _, tracing = bench
+    samples = np.random.default_rng(8).uniform(-1.0, 1.0, (1000, 4))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(cawave)
+        tracer.begin_round()
+        tracer.active = True
+        cawave.surrogate_net.train(samples, epochs=1, batch_size=64, seed=8)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    for name, calls in (("backward", 15), ("adam_step", 15), ("loss", 1)):
+        assert stats.nested_calls(f"surrogate_net.{name}", "surrogate_net.train") == calls, name
+        assert stats.calls(f"surrogate_net.{name}") == calls, name
 
 
 def test_every_workload_command_parses(bench, tmp_path):

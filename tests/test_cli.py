@@ -113,7 +113,11 @@ def test_sidecar_contents(workdir):
     meta = json.loads((workdir / "weights.cwnn.meta.json").read_text())
     assert meta["file"] == "weights.cwnn"
     assert meta["command"] == "train"
-    assert meta["seed"] == 4
+    # the seeds are recorded once, in the effective config
+    assert set(meta) == {
+        "file", "command", "config", "config_sha256", "versions", "created", "subset", "data"
+    }
+    assert meta["config"]["network"]["seed"] == meta["config"]["dataset"]["seed"] == 4
     assert len(meta["config_sha256"]) == 64
     assert set(meta["versions"]) == {"package", "numpy", "python"}
     assert "created" in meta
@@ -483,6 +487,23 @@ def test_an_out_of_range_seed_is_a_config_error(section, seed, tmp_path, capsys)
         assert not out.exists()
     assert cli.main(["steady", "--seed", str(seed), "--out", str(out)]) == 2
     assert "[network] seed must lie" in capsys.readouterr().err  # --seed sets both keys
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "ini"])
+def test_an_integer_too_large_for_a_float_reaches_the_seed_range_check(route, tmp_path, capsys):
+    # integer keys are parsed exactly: read as a float, the value would
+    # overflow from the flag ("expects int") and round to inf from the file
+    # ("must be finite")
+    seed = int("7" * 400)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[dataset]\nseed = {seed}\n")
+    out = tmp_path / "out"
+    given = ["--seed", str(seed)] if route == "flag" else ["--config", str(ini)]
+    assert cli.main(["steady", *given, "--out", str(out)]) == 2
+    section = "network" if route == "flag" else "dataset"
+    err = capsys.readouterr().err
+    assert f"[{section}] seed must lie in [0, {2**64 - 1}], got {seed}" in err
     assert not out.exists()
 
 

@@ -224,7 +224,8 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed):
 
 def test_training_matches_list_based_reference_bit_for_bit():
     # 1800 training rows in batches of 256 leave a partial batch of 8, and
-    # the 1200 validation rows span two forward blocks
+    # the 1200 validation rows run through the 256-row workspace in five
+    # blocks, the last one partial (and would span two of forward's blocks)
     rng = np.random.default_rng(14)
     x = np.column_stack(
         [rng.uniform(0, 1, 3000), rng.uniform(0, 10, 3000), rng.uniform(-40, 40, 3000)]
@@ -237,6 +238,26 @@ def test_training_matches_list_based_reference_bit_for_bit():
         assert np.array_equal(got, want)
     assert np.array_equal(hist.train, train_hist)
     assert np.array_equal(hist.validation, val_hist)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 5000),
+    fraction=st.floats(0.0, 0.49),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_in_place_index_shuffles_draw_what_permutation_draws(n, fraction, seed):
+    # train's split and epoch order are int32 ranges shuffled in place; each
+    # must equal rng.permutation of its length and leave the generator where
+    # rng.permutation leaves it
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    train_idx, val_idx = sn.validation_split(n, fraction, rng)
+    assert train_idx.dtype == val_idx.dtype == np.int32
+    assert np.array_equal(np.concatenate([train_idx, val_idx]), reference.permutation(n))
+    order = np.arange(train_idx.size, dtype=np.int32)
+    rng.shuffle(order)
+    assert np.array_equal(order, reference.permutation(train_idx.size))
+    assert rng.integers(2**63) == reference.integers(2**63)
 
 
 def test_forward_blocks_equal_per_block_results():
