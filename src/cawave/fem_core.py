@@ -22,13 +22,18 @@ vanishes at the origin.
 
 Mass and stiffness matrices are the familiar unweighted P1 element matrices;
 no r-weight appears in any inner product.  All matrices are tridiagonal and
-are solved by Gaussian elimination with partial pivoting, in one of two ways.
-An operator that changes from call to call takes the one-shot solve,
-solve_tridiagonal (LAPACK gtsv).  A constant operator is factored once,
-TridiagonalFactor (gttrf), and each right-hand side then costs one gttrs
-call; both give the same bits.  Functions return fresh arrays and never
-mutate their inputs; the one exception is BandedMatrix.matvec, which writes
-into the caller's out array when given one.
+kept in LAPACK band storage (BandedMatrix).  A product alpha A x + beta y is
+one BLAS dgbmv call on that storage, banded_product, which
+BandedMatrix.matvec calls too.  Systems are solved by Gaussian elimination
+with partial pivoting, in one of two ways.  An operator that changes from
+call to call takes the one-shot solve, solve_tridiagonal (LAPACK gtsv).  A
+constant operator is factored once, TridiagonalFactor (gttrf), and each
+right-hand side then costs one gttrs call; both give the same bits.  The
+scipy wrappers of dgbmv and gttrf reject n < 3; below that both calls see
+the matrix widened by decoupled unit rows (_padded).  Functions return fresh
+arrays and never mutate their inputs; the one exception is banded_product,
+which writes into y when asked to, and through it BandedMatrix.matvec, which
+writes into the caller's out array when given one.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import SingularMatrixError
@@ -77,32 +83,34 @@ def build_mesh(r_start: float, r_end: float, num_elements: int) -> Mesh1D:
 
 
 class BandedMatrix:
-    """Tridiagonal matrix as one (3, n) array of bands indexed by matrix column.
+    """Tridiagonal matrix in LAPACK band storage: one column-major (3, n)
+    array of bands indexed by matrix column.
 
-    Row 0, column j holds entry (j+1, j); row 1 holds the diagonal; row 2,
-    column j holds entry (j-1, j).  The two padding entries, bands[0, -1] and
-    bands[2, 0], are zero, so a column scaling bands * s is the product
-    A diag(s), and matrices laid side by side with np.hstack form a
-    block-diagonal one.  lower, diag and upper are views into bands, made
-    once here, in the order solve_tridiagonal takes them.
+    Row 0, column j holds entry (j-1, j), the superdiagonal; row 1 holds the
+    diagonal; row 2, column j holds entry (j+1, j), the subdiagonal.  This is
+    the layout dgbmv reads in place, so a product copies no band.  The two
+    padding entries, bands[0, 0] and bands[2, -1], are zero, so a column
+    scaling bands * s is the product A diag(s), and matrices laid side by
+    side with np.hstack form a block-diagonal one.  bands is kept as given
+    when it is column-major already, else as a column-major copy; lower, diag
+    and upper are views into it, made once here, in the order
+    solve_tridiagonal takes them.
     """
 
     def __init__(self, bands: np.ndarray):
         if bands.ndim != 2 or bands.shape[0] != 3 or bands.shape[1] < 1:
             raise ValueError(f"bands must be (3, n) with n >= 1, got {bands.shape}")
-        if bands[0, -1] != 0.0 or bands[2, 0] != 0.0:
+        if bands[0, 0] != 0.0 or bands[2, -1] != 0.0:
             raise ValueError("band padding entries must be zero")
-        self.bands = bands
-        self.lower = bands[0, :-1]  # entry k sits at (k+1, k)
+        self.bands = bands = np.asfortranarray(bands)
+        self.lower = bands[2, :-1]  # entry k sits at (k+1, k)
         self.diag = bands[1]
-        self.upper = bands[2, 1:]  # entry k sits at (k, k+1)
+        self.upper = bands[0, 1:]  # entry k sits at (k, k+1)
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A @ x, written into out when one is given (it must not overlap x)."""
-        y = np.multiply(self.diag, x, out=out)
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
-        return y
+        """A @ x by banded_product, written into out when one is given (it
+        must not overlap x)."""
+        return banded_product(self, x, y=out, overwrite_y=out is not None)
 
     def to_dense(self) -> np.ndarray:
         n = self.bands.shape[1]
@@ -113,15 +121,61 @@ class BandedMatrix:
         return dense
 
 
+MIN_WRAPPED_SIZE = 3  # the scipy dgbmv and gttrf wrappers reject smaller matrices
+
+
+def _padded(bands: np.ndarray):
+    """bands widened to MIN_WRAPPED_SIZE columns by decoupled unit rows, and
+    the number of rows added (0 leaves bands as it is).
+
+    The added rows meet the matrix only at its zero padding entries, so by
+    the block-seam property they leave its products and solutions bit for
+    bit alone; vectors that go with the matrix take zeros on those rows.
+    """
+    pad = MIN_WRAPPED_SIZE - bands.shape[1]
+    if pad <= 0:
+        return bands, 0
+    unit = np.zeros((3, pad), order="F")
+    unit[1] = 1.0
+    return np.hstack((bands, unit)), pad
+
+
+def _zero_rows(v, pad: int) -> np.ndarray:
+    return np.concatenate((v, np.zeros((pad,) + np.shape(v)[1:])))
+
+
+def banded_product(matrix: BandedMatrix, x, alpha=1.0, beta=0.0, y=None, overwrite_y=False):
+    """alpha A x + beta y in one BLAS dgbmv call.
+
+    y is read only when beta is nonzero (None stands for zeros).  With
+    overwrite_y the result is written into y and y is returned; otherwise y
+    is left untouched and the result is a fresh array.  A block-diagonal
+    matrix with zero seams multiplies bit for bit as its blocks would one by
+    one: the seam entries add exact zeros.
+    """
+    bands = matrix.bands
+    n = bands.shape[1]
+    if n >= MIN_WRAPPED_SIZE:
+        result = dgbmv(n, n, 1, 1, alpha, bands, x, beta=beta, y=y, overwrite_y=overwrite_y)
+    else:  # the rows _padded adds take zeros
+        bands, pad = _padded(bands)
+        x, acc = _zero_rows(x, pad), None if y is None else _zero_rows(y, pad)
+        result = dgbmv(MIN_WRAPPED_SIZE, MIN_WRAPPED_SIZE, 1, 1, alpha, bands, x, beta=beta, y=acc)[:n]
+    if overwrite_y and result is not y:  # padded, or y was not contiguous
+        y[...] = result
+        return y
+    return result
+
+
 def _scatter(mesh: Mesh1D, b00, b01, b10, b11) -> BandedMatrix:
     """Sum the element blocks [[b00, b01], [b10, b11]] of every element e,
     placed at rows and columns (e, e+1); each entry is a scalar or one value
     per element."""
-    bands = np.zeros((3, mesh.num_nodes))
-    bands[0, :-1] += b10
+    bands = np.zeros((3, mesh.num_nodes), order="F")
+    bands[0, 1:] += b01
     bands[1, :-1] += b00
     bands[1, 1:] += b11
-    bands[2, 1:] += b01
+    bands[2, :-1] += b10
     return BandedMatrix(bands)
 
 
@@ -190,19 +244,15 @@ class TridiagonalFactor:
 
     One LAPACK gttrf call at construction, with the partial pivoting of
     solve_tridiagonal; solve then costs one gttrs call and returns the same
-    bits as solve_tridiagonal would.  The gttrf wrapper wants n >= 3, so a
-    smaller matrix gets decoupled unit rows appended: by the block-seam
-    property of solve_tridiagonal they leave its solution bit for bit alone.
+    bits as solve_tridiagonal would.  A matrix below the wrapper's n >= 3 is
+    factored as _padded widens it, and its right-hand sides take zeros on the
+    added rows.
     """
 
-    def __init__(self, lower, diag, upper):
-        self._n = len(diag)
-        self._pad = max(0, 3 - self._n)
-        if self._pad:
-            seam = np.zeros(self._pad)
-            lower, upper = np.concatenate((lower, seam)), np.concatenate((upper, seam))
-            diag = np.concatenate((diag, np.ones(self._pad)))
-        *self._factors, info = dgttrf(lower, diag, upper)
+    def __init__(self, matrix: BandedMatrix):
+        self._n = matrix.bands.shape[1]
+        bands, self._pad = _padded(matrix.bands)
+        *self._factors, info = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
         if info != 0:
             raise SingularMatrixError(f"tridiagonal factorization failed: LAPACK gttrf info = {info}")
 
@@ -214,6 +264,4 @@ class TridiagonalFactor:
         """
         if not self._pad:
             return dgttrs(*self._factors, rhs)[0]
-        # the appended unit rows take zero right-hand sides
-        padded = np.concatenate((rhs, np.zeros((self._pad,) + np.shape(rhs)[1:])))
-        return dgttrs(*self._factors, padded)[0][: self._n]
+        return dgttrs(*self._factors, _zero_rows(rhs, self._pad))[0][: self._n]

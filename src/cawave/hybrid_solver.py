@@ -244,7 +244,7 @@ class SimState:
                 raise StateInvariantError(f"{name} undershot to {low}")
         self.w = np.concatenate((u, b, ue))
         self.starts = np.array([0, n_c, 2 * n_c])
-        self.matrix = BandedMatrix(system.static.copy())  # the u_e block never changes
+        self.matrix = BandedMatrix(system.static.copy(order="F"))  # the u_e block never changes
         self.rhs = np.zeros((self.w.size, 3), order="F")
         self.rhs[0, 1] = self.rhs[-1, 1] = self.rhs[n_c - 1, 2] = 1.0  # L rows of u, u_e; R of u
         self.scale = np.empty(2 * n_c)

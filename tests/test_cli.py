@@ -236,7 +236,7 @@ def test_er_block_breakdown_at_small_dt_exits_3(tmp_path):
     )
     assert r.returncode == 3, r.stderr
     assert "ER calcium left" in r.stderr
-    assert "range [-500.47708261493153, 396.83273006795696]" in r.stderr
+    assert "range [-499.0384571475034, 396.5512593744259]" in r.stderr
     assert not (tmp_path / "simulation.csv").exists()
 
 

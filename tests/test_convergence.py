@@ -1,5 +1,6 @@
-"""Manufactured-solution study: rates, monotonicity, the source term, and
-the factored transient loop against one solve per step."""
+"""Manufactured-solution study: rates, monotonicity, the source term, the
+factored transient loop against one solve per step, and the step's shape:
+one banded product and one factored solve."""
 
 import math
 
@@ -79,11 +80,11 @@ def per_step_transient_error(num_elements):
     dt = cv.TRANSIENT_HORIZON / num_steps
     op = fem_core.BandedMatrix(mass.bands / dt + diffusion)
     profile = cv.exact_steady(mesh.nodes)
-    forcing = cv.steady_source(mesh.nodes) - profile
+    mass_forcing = mass.matvec(cv.steady_source(mesh.nodes) - profile)
     w = profile.copy()
     for n in range(1, num_steps + 1):
-        source = math.exp(-n * dt) * forcing
-        w = fem_core.solve_tridiagonal(op.lower, op.diag, op.upper, mass.matvec(w / dt + source))
+        rhs = fem_core.banded_product(mass, w, 1.0 / dt, math.exp(-n * dt), mass_forcing)
+        w = fem_core.solve_tridiagonal(op.lower, op.diag, op.upper, rhs)
     err = w - math.exp(-cv.TRANSIENT_HORIZON) * profile
     return float(math.sqrt(err @ mass.matvec(err)))
 
@@ -92,3 +93,25 @@ def per_step_transient_error(num_elements):
 def test_factored_transient_equals_per_step_solves(num_elements):
     # n = 1 element is a 2-node system, below the size the gttrf wrapper takes
     assert cv.transient_case_error(num_elements) == per_step_transient_error(num_elements)
+
+
+@pytest.mark.parametrize("num_elements", [1, 2, 5])
+def test_transient_step_is_one_product_and_one_factored_solve(num_elements, monkeypatch):
+    calls = {"step product": 0, "setup product": 0, "solve": 0}
+    product, solve = fem_core.banded_product, fem_core.TridiagonalFactor.solve
+
+    def counted_product(matrix, x, alpha=1.0, beta=0.0, y=None, overwrite_y=False):
+        # a step adds e^{-t} M f; the setup products are plain ones
+        calls["step product" if beta else "setup product"] += 1
+        return product(matrix, x, alpha, beta, y, overwrite_y)
+
+    def counted_solve(self, rhs):
+        calls["solve"] += 1
+        return solve(self, rhs)
+
+    monkeypatch.setattr(fem_core, "banded_product", counted_product)
+    monkeypatch.setattr(fem_core.TridiagonalFactor, "solve", counted_solve)
+    cv.transient_case_error(num_elements)
+    steps = num_elements * num_elements
+    # beside the steps: M f once per mesh, and M e in the L2 norm
+    assert calls == {"step product": steps, "setup product": 2, "solve": steps}

@@ -12,7 +12,10 @@ reject exactly singular systems.  A
 block-diagonal system with zero seam entries must solve bit for bit as its
 blocks solved one by one.  The factored solve (gttrf once, gttrs per
 right-hand side) must give the one-shot solve's bits, reject the same
-singular systems when it factors, and leave its inputs untouched.
+singular systems when it factors, and leave its inputs untouched.  The
+banded product (BLAS dgbmv) must match the dense alpha A x + beta y to a few
+ulps of |alpha| |A| |x| + |beta| |y|, and a block-diagonal product with zero
+seams must give each block's standalone bits.
 The finite-part entries give the ER operator K - A one negative mode,
 pinned to the origin: its eigenvalue scales like 1/h^2 and its eigenvector
 lives on the first three nodes.  The cytosolic operator has none.
@@ -68,8 +71,8 @@ def convection_entry_quad(mesh, i, j):
 
 
 def stack_bands(lower, diag, upper):
-    """(3, n) bands of the three diagonals, with zero padding."""
-    return np.vstack((np.append(lower, 0.0), diag, np.insert(upper, 0, 0.0)))
+    """(3, n) band storage of the three diagonals, with zero padding."""
+    return np.vstack((np.insert(upper, 0, 0.0), diag, np.append(lower, 0.0)))
 
 
 # The per-element assembly loops, kept as the bit-level reference.
@@ -139,13 +142,16 @@ def test_assemblers_match_per_element_loops(num_elements, r_start, length):
 
 
 def test_banded_matrix_views_and_layout():
-    bands = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 5.0], [0.0, 6.0, 7.0]])
+    # LAPACK band storage: superdiagonal, diagonal, subdiagonal, column-major
+    bands = np.asfortranarray([[0.0, 6.0, 7.0], [3.0, 4.0, 5.0], [1.0, 2.0, 0.0]])
     mat = fem_core.BandedMatrix(bands)
     assert mat.bands is bands
     for view in (mat.lower, mat.diag, mat.upper):
         assert np.shares_memory(view, bands)
     assert np.array_equal(mat.to_dense(), [[3.0, 6.0, 0.0], [1.0, 4.0, 7.0], [0.0, 2.0, 5.0]])
-    for bad in ((0, 2), (2, 0)):  # a nonzero padding entry
+    row_major = fem_core.BandedMatrix(np.ascontiguousarray(bands))  # kept as a column-major copy
+    assert row_major.bands.flags.f_contiguous and np.array_equal(row_major.bands, bands)
+    for bad in ((0, 0), (2, 2)):  # a nonzero padding entry
         padded = bands.copy()
         padded[bad] = 1.0
         with pytest.raises(ValueError, match="padding"):
@@ -321,7 +327,7 @@ def test_solve_banded_against_dense():
 def test_solver_pivot_fallback():
     # leading pivot is zero but the matrix is regular: partial pivoting swaps
     # the first two rows instead of dividing by zero
-    mat = fem_core.BandedMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 1.0]]))
+    mat = fem_core.BandedMatrix(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 0.0]]))
     rhs = np.array([1.0, 2.0, 3.0])
     x = fem_core.solve_tridiagonal(mat.lower, mat.diag, mat.upper, rhs)
     assert_allclose(mat.to_dense() @ x, rhs, atol=1e-12)
@@ -340,6 +346,9 @@ def test_matvec_matches_dense():
     mat = fem_core.BandedMatrix(stack_bands(rng.normal(size=5), rng.normal(size=6), rng.normal(size=5)))
     x = rng.normal(size=6)
     assert_allclose(mat.matvec(x), mat.to_dense() @ x, rtol=1e-14)
+    for out in (np.full((6, 2), np.nan, order="F")[:, 0], np.full((6, 2), np.nan)[:, 0]):
+        assert mat.matvec(x, out=out) is out  # a strided out is filled too
+        assert out.tobytes() == mat.matvec(x).tobytes()
 
 
 # entries of either sign, bounded away from zero so that few draws are singular
@@ -354,6 +363,45 @@ def _bands(n):
 
 TRIDIAGONAL_SYSTEMS = st.integers(1, 40).flatmap(_bands)
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+
+PRODUCTS = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(_bands(n), arrays(np.float64, n, elements=ENTRIES, fill=st.nothing()))
+)
+COEFFICIENTS = st.sampled_from([1.0, -1.0]) | ENTRIES
+
+
+@PROPERTY_SETTINGS
+@given(product=PRODUCTS, alpha=COEFFICIENTS, beta=st.just(0.0) | COEFFICIENTS)
+def test_banded_product_matches_dense(product, alpha, beta):
+    (lower, diag, upper, x), y = product
+    mat = fem_core.BandedMatrix(stack_bands(lower, diag, upper))
+    dense = mat.to_dense()
+    before = y.copy()
+    result = fem_core.banded_product(mat, x, alpha, beta, y)
+    assert y.tobytes() == before.tobytes()
+    # each side rounds a handful of times on terms bounded by this sum
+    scale = abs(alpha) * (np.abs(dense) @ np.abs(x)) + abs(beta) * np.abs(y)
+    assert np.all(np.abs(result - (alpha * (dense @ x) + beta * y)) <= 8 * np.finfo(float).eps * scale)
+    out = y.copy()
+    assert fem_core.banded_product(mat, x, alpha, beta, out, overwrite_y=True) is out
+    assert out.tobytes() == result.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    blocks=st.lists(PRODUCTS, min_size=1, max_size=3),
+    alpha=COEFFICIENTS,
+    beta=st.just(0.0) | COEFFICIENTS,
+)
+def test_block_diagonal_product_equals_separate_products(blocks, alpha, beta):
+    mats = [fem_core.BandedMatrix(stack_bands(*system[:3])) for system, _ in blocks]
+    xs = [system[3] for system, _ in blocks]
+    ys = [y for _, y in blocks]
+    stacked = fem_core.BandedMatrix(np.hstack([mat.bands for mat in mats]))
+    whole = fem_core.banded_product(stacked, np.concatenate(xs), alpha, beta, np.concatenate(ys))
+    parts = [fem_core.banded_product(mat, x, alpha, beta, y) for mat, x, y in zip(mats, xs, ys)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def _with_columns(rhs, extra):
@@ -420,15 +468,16 @@ def test_factored_solve_equals_one_shot_solve(system, lead, extra):
         diag = diag.copy()
         diag[0] = lead
     rhs_list = [_with_columns(rhs * scale, extra) for scale in (1.0, -3.5, 1e-3)]
-    inputs = (lower, diag, upper, *rhs_list)
+    matrix = fem_core.BandedMatrix(stack_bands(lower, diag, upper))
+    inputs = (lower, diag, upper, matrix.bands, *rhs_list)
     before = [a.copy() for a in inputs]
     try:
         expected = [fem_core.solve_tridiagonal(lower, diag, upper, b) for b in rhs_list]
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            fem_core.TridiagonalFactor(lower, diag, upper)
+            fem_core.TridiagonalFactor(matrix)
         return
-    factor = fem_core.TridiagonalFactor(lower, diag, upper)
+    factor = fem_core.TridiagonalFactor(matrix)
     for b, x in zip(rhs_list, expected):  # one factor serves every right-hand side
         solved = factor.solve(b)
         assert solved.shape == b.shape
@@ -452,4 +501,4 @@ def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
     with pytest.raises(SingularMatrixError):
         fem_core.solve_tridiagonal(lower, diag, upper, rhs)
     with pytest.raises(SingularMatrixError, match="gttrf"):  # the factored solve, when it factors
-        fem_core.TridiagonalFactor(lower, diag, upper)
+        fem_core.TridiagonalFactor(fem_core.BandedMatrix(stack_bands(lower, diag, upper)))

@@ -7,9 +7,9 @@ root of an attribute chain).  Only ``from __future__`` imports are exempt: a
 name re-exported through ``__all__`` counts as unused, so the package stays
 without a facade and each name is imported from the module that defines it.
 
-LAPACK is reached from ``fem_core`` alone: no other package module imports
-``scipy.linalg.lapack``, so the tridiagonal solve stays one concept in one
-module.
+BLAS and LAPACK are reached from ``fem_core`` alone: no other package module
+imports ``scipy.linalg`` or anything under it, so the band storage, the
+banded product and the tridiagonal solve stay behind one module.
 """
 
 import ast
@@ -20,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "cawave").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-LAPACK = "scipy.linalg.lapack"
+SCIPY_LINALG = "scipy.linalg"
 
 
 def unused_imports(path: Path) -> list:
@@ -56,8 +56,9 @@ def test_detects_an_unused_import(tmp_path):
     assert unused_imports(module) == ["dumps (line 4)", "math (line 2)"]
 
 
-def imports_lapack(path: Path) -> list:
-    """Lines that import scipy.linalg.lapack or a name from it, in any form."""
+def imports_scipy_linalg(path: Path) -> list:
+    """Lines that import scipy.linalg, a module under it or a name from
+    either, in any form (BLAS and LAPACK both live there)."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -66,13 +67,13 @@ def imports_lapack(path: Path) -> list:
             modules = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
         else:
             continue
-        if any(m == LAPACK or m.startswith(LAPACK + ".") for m in modules):
+        if any(m == SCIPY_LINALG or m.startswith(SCIPY_LINALG + ".") for m in modules):
             lines.append(node.lineno)
     return lines
 
 
 def test_only_fem_core_imports_lapack():
-    importers = [path.name for path in PACKAGE if imports_lapack(path)]
+    importers = [path.name for path in PACKAGE if imports_scipy_linalg(path)]
     assert importers == ["fem_core.py"]
 
 
@@ -81,6 +82,8 @@ def test_detects_a_lapack_import(tmp_path):
     module.write_text(
         "import scipy.linalg.lapack\nfrom scipy.linalg import lapack\n"
         "from scipy.linalg.lapack import dgtsv\nimport scipy.linalg as sl\n"
-        "from scipy.linalg import solve_banded\nfrom . import lapack\n"
+        "from scipy.linalg import solve_banded\nfrom scipy.linalg.blas import dgbmv\n"
+        "from scipy import linalg\nfrom . import lapack\nimport scipy\n"
+        "from scipy import sparse\nimport scipy.linalgx\n"
     )
-    assert imports_lapack(module) == [1, 2, 3]
+    assert imports_scipy_linalg(module) == [1, 2, 3, 4, 5, 6, 7]
