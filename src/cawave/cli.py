@@ -18,14 +18,15 @@ errors (argparse failures and seeds outside [0, 2**64 - 1] included), 3 for
 numeric failures, 4 for I/O errors.  Each output file gets a sidecar
 <file>.meta.json recording the effective config (seeds included), its
 digest and library versions; train's also record the subset and the input
-dataset's name and CRC32, simulate's the channel and the weight file's
-CRC32.  The data files carry no timestamps, so fixed seeds reproduce them
-bit for bit.
+dataset's name and CRC32, simulate's the channel, the weight file's CRC32
+and the run's boundary-pass counts.  The data files carry no timestamps, so
+fixed seeds reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -163,7 +164,14 @@ def cmd_simulate(args) -> int:
 
     path = os.path.join(args.out, "simulation.csv")
     hybrid_solver.write_simulation_csv(path, output)
-    run = {"channel": args.channel}
+    run = {
+        "channel": args.channel,
+        "boundary_passes": {
+            "steps": output.times.size - 1,
+            "total": dataclasses.asdict(output.passes),
+            "max_per_step": dataclasses.asdict(output.max_passes),
+        },
+    }
     if args.weights is not None:
         run["weights"] = _input_file(args.weights)
     _write_sidecar(path, "simulate", cfg, run)

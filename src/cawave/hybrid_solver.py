@@ -38,11 +38,18 @@ u_e systems, so by the Sherman-Morrison-Woodbury identity
     u   = y_u + alpha g_L + beta g_R      (2x2 system in alpha, beta)
     u_e = y_e + beta_e g_e                (scalar Sherman-Morrison update)
 
-and a pass is plain float arithmetic on the end values.  The full-vector
-change is formed only once both ends have settled, because the change at
-the ends bounds the change anywhere from below.  A zero 2x2 determinant or
-Sherman-Morrison denominator, which is where the full matrix would be
-singular, raises SingularMatrixError.
+and a pass is plain float arithmetic on the end values.  A loop exits once
+the change between its last two passes is within the tolerance at every
+node.  The change at the ends bounds it from below, so nothing more is
+looked at until both ends have settled.  Then the scalar
+|d alpha| max|g_L| + |d beta| max|g_R| (|d beta_e| max|g_e| for u_e), with
+the maxima taken once per step, bounds it from above: rounding is monotone,
+so when the scalar is within the tolerance every node is too
+(change_within_tol).  Otherwise, and on a first pass, whose change is
+measured against the old field, the full-vector change decides.  So the
+bound moves no exit and no bit, and u and u_e are formed once, after both
+loops.  A zero 2x2 determinant or Sherman-Morrison denominator, which is
+where the full matrix would be singular, raises SingularMatrixError.
 
 The PMCA, NCX and SERCA laws and their slopes come from channel_flux
 (outer_pumps, serca_pump); this module only places them in the boundary rows.
@@ -51,18 +58,23 @@ A run is one SimState that step_imex advances in place; run_simulation calls
 step_imex by its module-level name once per step.  The state owns the stacked
 fields w = (u, b, u_e), of which u, b and u_e are read-only views, the step's
 BandedMatrix (the u_e block never changes), the Fortran (N, 3) right-hand
-side, and the scale, data and clamp buffers.  Two reduceat calls bound all
-three new fields at once, before they are copied into w: they are the range
-check (NaN fails it; a step that raises leaves the state as it was) and the
-observer's u maximum.  Every step clamps the fields at zero for the reaction
-and flux terms while the data keep the raw fields; SimState and the range
-check admit nothing below -1e-8, so the clamp only removes roundoff.
+side, and the scale, source, data, clamp and |g| buffers with views of their
+u and b blocks fixed at construction, so the reaction's scaling and data
+take a few whole-block calls.  It also counts the boundary passes of each
+loop and the full-vector tests (PassCounts), in total and as the most in
+one step; SimOutput and the simulate sidecar carry both.  Two reduceat
+calls bound all three new fields at once, before they are copied into w:
+they are the range check (NaN fails it; a step that raises leaves the state
+as it was, counts included) and the observer's u maximum.  Every step clamps
+the fields at zero for the reaction and flux terms while the data keep the
+raw fields; SimState and the range check admit nothing below -1e-8, so the
+clamp only removes roundoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,12 +237,25 @@ def build_system(cfg: SimConfig) -> _System:
     return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))))
 
 
+@dataclass(slots=True)
+class PassCounts:
+    """Boundary-iteration counts: passes of the outer (u) and ER (u_e) loops,
+    and full-vector tests, made where the ends had settled but the scalar
+    bound did not accept (first passes included)."""
+
+    outer: int = 0
+    er: int = 0
+    exact_tests: int = 0
+
+
 class SimState:
     """The state of one run: fields, time, gating handle and its P, with the
     work buffers that step_imex advances them in (see the module docstring).
 
     u, b and ue are read-only views of w; the state shares no memory with its
     inputs, which must match their meshes and undershoot by at most 1e-8.
+    passes holds the boundary-pass counts summed over the steps taken and
+    max_passes the largest of each in one step.
     """
 
     def __init__(self, cfg: SimConfig, system: _System, u, b, ue, channel, t: float = 0.0):
@@ -244,11 +269,31 @@ class SimState:
                 raise StateInvariantError(f"{name} undershot to {low}")
         self.w = np.concatenate((u, b, ue))
         self.starts = np.array([0, n_c, 2 * n_c])
+        self.ceilings = (1e9, cfg.buffer.total + UNDERSHOOT_TOL, 1e9)  # as FIELD_NAMES
         self.matrix = BandedMatrix(system.static.copy(order="F"))  # the u_e block never changes
         self.rhs = np.zeros((self.w.size, 3), order="F")
         self.rhs[0, 1] = self.rhs[-1, 1] = self.rhs[n_c - 1, 2] = 1.0  # L rows of u, u_e; R of u
-        self.scale = np.empty(2 * n_c)
         self.data, self.clamped = np.empty((2, self.w.size))
+        # |columns 1-2| of the solve, one after the other, and where g_L, g_e
+        # and g_R start in them
+        self.g_abs = np.empty(2 * self.w.size)
+        self.g_abs_columns = self.g_abs.reshape(2, self.w.size).T
+        self.g_starts = np.array([0, 2 * n_c, self.w.size])
+        # Views of the u and b blocks, the first 2 n_c entries, for the
+        # reaction.  scale, (bind b_old, unbind + bind u_old), is one multiply
+        # of clamped_bu, the clamped (b, u) pair, and one add.  source is the
+        # reaction's data: unbind (total - b_old) on u, refreshed every step,
+        # and the constant unbind total on b.
+        ub = slice(2 * n_c)
+        self.scale = np.empty(2 * n_c)
+        self.scale_rows, self.scale_b = self.scale.reshape(2, n_c), self.scale[n_c:]
+        self.clamped_bu = self.clamped[ub].reshape(2, n_c)[::-1]
+        self.clamped_b = self.clamped[n_c : 2 * n_c]
+        self.source = np.full(2 * n_c, cfg.buffer.unbind_rate * cfg.buffer.total)
+        self.source_u, self.data_ub = self.source[:n_c], self.data[ub]
+        self.bands_ub = self.matrix.bands[:, ub]
+        self.mass_ub, self.static_ub = system.mass.bands[:, ub], system.static[:, ub]
+        self.passes, self.max_passes = PassCounts(), PassCounts()
         self.u, self.b, self.ue = np.split(self.w, self.starts[1:])
         for view in (self.u, self.b, self.ue):
             view.flags.writeable = False
@@ -261,6 +306,19 @@ def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimStat
     n_c, n_e = sys_.cyto.num_nodes, sys_.er.num_nodes
     fields = (np.full(n_c, cfg.u_init), np.full(n_c, cfg.b_init), np.full(n_e, cfg.ue_init))
     return SimState(cfg, sys_, *fields, initial_channel(cfg))
+
+
+def change_within_tol(d_alpha: float, g_l: float, d_beta: float = 0.0, g_r: float = 0.0) -> bool:
+    """Whether |d_alpha| g_l + |d_beta| g_r is within BOUNDARY_ITER_TOL.
+
+    g_l and g_r are the largest magnitudes of the unit responses g_L and
+    g_R.  Float rounding is monotone and symmetric, so this float sum is at
+    least every entry of the change d_alpha g_L + d_beta g_R as step_imex
+    forms it: when it accepts, the full-vector test accepts too.  A NaN or an
+    overflow anywhere makes it reject.  The u_e loop passes d_beta_e and
+    max |g_e| alone.
+    """
+    return abs(d_alpha) * g_l + abs(d_beta) * g_r <= BOUNDARY_ITER_TOL
 
 
 def step_imex(state: SimState) -> None:
@@ -281,21 +339,25 @@ def step_imex(state: SimState) -> None:
     gate = er_p.ryr_scale * p_open + er_p.leak  # linear interface conductance
 
     # One block-diagonal solve for (ii)-(iv): the reactions M diag(bind b_old)
-    # on u and M diag(unbind + bind u_old) on b are column scalings.
-    scale, b_old = state.scale, old[n_c : 2 * n_c]
-    np.multiply(b_old, bf.bind_rate, out=scale[:n_c])
-    np.multiply(old[:n_c], bf.bind_rate, out=scale[n_c:])
-    scale[n_c:] += bf.unbind_rate
-    mat = state.matrix
-    ub = mat.bands[:, : 2 * n_c]
-    np.multiply(sys_.mass.bands[:, : 2 * n_c], scale, out=ub)
-    ub += sys_.static[:, : 2 * n_c]
+    # on u and M diag(unbind + bind u_old) on b are column scalings, and the
+    # data w / dt gain the reaction's source.
+    np.multiply(state.clamped_bu, bf.bind_rate, out=state.scale_rows)
+    state.scale_b += bf.unbind_rate
+    mat, ub = state.matrix, state.bands_ub
+    np.multiply(state.mass_ub, state.scale, out=ub)
+    ub += state.static_ub
+    source_u = np.subtract(bf.total, state.clamped_b, out=state.source_u)
+    source_u *= bf.unbind_rate
     data = np.divide(w, dt, out=state.data)
-    data[:n_c] += bf.unbind_rate * (bf.total - b_old)
-    data[n_c : 2 * n_c] += bf.unbind_rate * bf.total
+    state.data_ub += state.source
     y = sys_.mass.matvec(data, out=state.rhs[:, 0])
     y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
     x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, state.rhs)
+    # the largest |g_L|, |g_e| and |g_R| for the bound that certifies a
+    # loop's exit (g_L and g_R over the u and b rows, whose b entries are zero)
+    np.abs(x[:, 1:], out=state.g_abs_columns)
+    g_l_max, g_e_max, g_r_max = np.maximum.reduceat(state.g_abs, state.g_starts).tolist()
+    exact_tests = 0
 
     # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
     # and PMCA/NCX at u_R and solves the 2x2 system for (alpha, beta)
@@ -304,7 +366,7 @@ def step_imex(state: SimState) -> None:
     y_rr, g_lr, g_rr = x[n_c - 1].tolist()
     ul, ur = float(w[0]), float(w[n_c - 1])
     alpha = beta = None
-    for _ in range(BOUNDARY_ITER_MAX + 1):
+    for outer_passes in range(1, BOUNDARY_ITER_MAX + 2):
         pumps, pumps_d = outer_pumps(ur, pl)
         serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
         c_l = gate + serca_d
@@ -320,8 +382,11 @@ def step_imex(state: SimState) -> None:
         new_l = y_ll + new_alpha * g_ll + new_beta * g_rl
         new_r = y_rr + new_alpha * g_lr + new_beta * g_rr
         if max(abs(new_l - ul), abs(new_r - ur)) <= BOUNDARY_ITER_TOL:
-            u_new = y_u + new_alpha * g_l + new_beta * g_r
-            change = u_new - w[:n_c] if alpha is None else (
+            if alpha is not None and change_within_tol(
+                    new_alpha - alpha, g_l_max, new_beta - beta, g_r_max):
+                break
+            exact_tests += 1
+            change = y_u + new_alpha * g_l + new_beta * g_r - w[:n_c] if alpha is None else (
                 (new_alpha - alpha) * g_l + (new_beta - beta) * g_r)
             if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
                 break
@@ -337,43 +402,63 @@ def step_imex(state: SimState) -> None:
     y_el, g_el = x[-1, :2].tolist()
     uel = float(w[-1])
     beta_e = None
-    for _ in range(BOUNDARY_ITER_MAX + 1):
+    for er_passes in range(1, BOUNDARY_ITER_MAX + 2):
         serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
         s = gate - serca_d
         denom = 1.0 + s * g_el
         if denom == 0.0:
             raise SingularMatrixError(f"singular ER boundary system at t = {t_next}")
-        new_beta = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
-        new_l = y_el + new_beta * g_el
+        new_beta_e = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
+        new_l = y_el + new_beta_e * g_el
         if new_l <= channel_flux.ER_CONCENTRATION_FLOOR:
             raise StateInvariantError(f"ER interface concentration collapsed: {new_l}")
         if abs(new_l - uel) <= BOUNDARY_ITER_TOL:
-            ue_new = y_e + new_beta * g_e
-            change = ue_new - w[2 * n_c :] if beta_e is None else (new_beta - beta_e) * g_e
+            if beta_e is not None and change_within_tol(new_beta_e - beta_e, g_e_max):
+                break
+            exact_tests += 1
+            change = y_e + new_beta_e * g_e - w[2 * n_c :] if beta_e is None else (
+                (new_beta_e - beta_e) * g_e)
             if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
                 break
-        beta_e, uel = new_beta, new_l
+        beta_e, uel = new_beta_e, new_l
     else:
         raise SolverDivergenceError(f"ER-boundary iteration did not converge at t = {t_next}")
 
-    # (iii) free buffer: fully linear in the new b, so y_b is the answer; the
-    # new fields are checked in x's column 0 before they are copied into w
+    # (iii) free buffer: fully linear in the new b, so y_b is the answer.  u
+    # and u_e are formed in x's column 0, ((y + alpha g_L) + beta g_R) and
+    # y_e + beta_e g_e, and checked there before they are copied into w; the
+    # terms go through g_abs, which the maxima no longer need.
+    work = state.g_abs
+    y_u += np.multiply(g_l, new_alpha, out=work[:n_c])
+    y_u += np.multiply(g_r, new_beta, out=work[:n_c])
+    y_e += np.multiply(g_e, new_beta_e, out=work[: y_e.size])
     new = x[:, 0]
-    new[:n_c], new[2 * n_c :] = u_new, ue_new
 
-    # All six field bounds from two reductions; NaN fails both comparisons.
+    # All six field bounds from two reductions; NaN fails every comparison,
+    # and the loop names the first field out of its band.
     lows = np.minimum.reduceat(new, state.starts).tolist()
     highs = np.maximum.reduceat(new, state.starts).tolist()
-    ceilings = (1e9, bf.total + UNDERSHOOT_TOL, 1e9)
-    for name, low, high, hi in zip(FIELD_NAMES, lows, highs, ceilings):
-        if not (low >= -UNDERSHOOT_TOL and high <= hi):
-            if not (math.isfinite(low) and math.isfinite(high)):
-                raise StateInvariantError(f"{name} became non-finite")
-            raise StateInvariantError(
-                f"{name} left [{-UNDERSHOOT_TOL}, {hi}]: range [{low}, {high}]")
+    floor, (u_hi, b_hi, e_hi) = -UNDERSHOOT_TOL, state.ceilings
+    if not (lows[0] >= floor and lows[1] >= floor and lows[2] >= floor
+            and highs[0] <= u_hi and highs[1] <= b_hi and highs[2] <= e_hi):
+        for name, low, high, hi in zip(FIELD_NAMES, lows, highs, state.ceilings):
+            if not (low >= floor and high <= hi):
+                if not (math.isfinite(low) and math.isfinite(high)):
+                    raise StateInvariantError(f"{name} became non-finite")
+                raise StateInvariantError(f"{name} left [{floor}, {hi}]: range [{low}, {high}]")
     w[:] = new
     state.u_max = highs[0]
     state.t, state.channel, state.p_open = t_next, channel, p_open
+    total, top = state.passes, state.max_passes
+    total.outer += outer_passes
+    total.er += er_passes
+    total.exact_tests += exact_tests
+    if outer_passes > top.outer:
+        top.outer = outer_passes
+    if er_passes > top.er:
+        top.er = er_passes
+    if exact_tests > top.exact_tests:
+        top.exact_tests = exact_tests
 
 
 def conserved_quantity(state: SimState) -> float:
@@ -394,7 +479,9 @@ def conserved_quantity(state: SimState) -> float:
 
 @dataclass
 class SimOutput:
-    """Observer series at the two membranes plus summary wave metrics."""
+    """Observer series at the two membranes plus summary wave metrics, and
+    the run's boundary-pass counts: summed over its steps and the largest in
+    one step."""
 
     times: np.ndarray
     u_r: np.ndarray
@@ -406,6 +493,8 @@ class SimOutput:
     peak_u_anywhere: float
     wave_duration: float
     final_state: SimState
+    passes: PassCounts
+    max_passes: PassCounts
 
 
 def _longest_run(mask: np.ndarray, dt: float) -> float:
@@ -441,7 +530,7 @@ def run_simulation(cfg: SimConfig) -> SimOutput:
     duration = _longest_run(u_l > 2.0 * cfg.u_init, cfg.dt)
     return SimOutput(
         times, u_r, u_l, ue_l, p_series, float(u_l[peak]), float(times[peak]),
-        float(u_max.max()), duration, state,
+        float(u_max.max()), duration, state, replace(state.passes), replace(state.max_passes),
     )
 
 

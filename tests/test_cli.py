@@ -225,6 +225,15 @@ def test_simulate_sidecar_identifies_the_effective_run(tmp_path):
     assert [records[sub]["config"]["time"]["dt"] for sub in "abc"] == [0.01, 0.01, 0.02]
     assert records["a"]["channel"] == "zero" and "sim_config_sha256" not in records["a"]
     assert "weights" not in records["a"]
+    # the boundary-pass counts: equal runs count alike
+    passes = {sub: meta["boundary_passes"] for sub, meta in records.items()}
+    assert passes["a"] == passes["b"]
+    assert [passes[sub]["steps"] for sub in "abc"] == [4, 4, 2]
+    for record in passes.values():
+        assert set(record) == {"steps", "total", "max_per_step"}
+        for counts in (record["total"], record["max_per_step"]):
+            assert set(counts) == {"outer", "er", "exact_tests"}
+        assert min(record["total"]["outer"], record["total"]["er"]) >= record["steps"]
 
 
 def test_er_block_breakdown_at_small_dt_exits_3(tmp_path):

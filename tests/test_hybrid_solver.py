@@ -12,11 +12,15 @@ three matrices in full and runs the boundary fixed point with a full solve
 per pass, with roundoff undershoots in some of the inputs.  Neither step has
 a maximum principle, so where step_imex rejects a field that left its band,
 the reference's field must leave that band too.  A whole run must equal a
-chain of in-place step_imex calls bit for bit; a boundary system made
-exactly singular must raise SingularMatrixError, and the CLI must report it
-with exit code 3; an ER interface iterate at or below the collapse floor
-must raise in the step that makes it.  The step's one solve must give g_e, the u_e block's
-response to unit data at r = L, bit for bit as the block alone would.
+chain of in-place step_imex calls bit for bit, boundary-pass counts
+included; a boundary system made exactly singular must raise
+SingularMatrixError, and the CLI must report it with exit code 3; an ER
+interface iterate at or below the collapse floor must raise in the step
+that makes it.  The step's one solve must give g_e, the u_e block's
+response to unit data at r = L, bit for bit as the block alone would.  The
+scalar bound that certifies a boundary loop's exit must never accept a
+change the full-vector test would reject, and a run with the bound always
+failing must equal the default run bit for bit.
 """
 
 import numpy as np
@@ -28,7 +32,7 @@ from hypothesis.extra.numpy import arrays
 from cawave import cli, fem_core
 from cawave import hybrid_solver as hs
 from cawave import surrogate_net as sn
-from cawave.channel_flux import PlasmaParams, outer_pumps, serca_pump
+from cawave.channel_flux import ErParams, PlasmaParams, outer_pumps, serca_pump
 from cawave.config import load_config
 from cawave.errors import ConfigError, SingularMatrixError, StateInvariantError
 
@@ -493,8 +497,8 @@ def _chain_of_steps(cfg):
     return np.array(rows).T, u_max, state
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=15)
-@given(
+# the runs the whole-run properties draw
+RUN_DRAWS = dict(
     channel=st.sampled_from(["zero", "markov", "surrogate"]),
     plasma=st.booleans(),
     cyto_elements=st.integers(1, 10),
@@ -502,27 +506,119 @@ def _chain_of_steps(cfg):
     steps=st.integers(1, 30),
     dt=st.sampled_from([1e-3, 1e-2, 4e-2]),
 )
+
+
+def _run_config(weights, channel, plasma, cyto_elements, er_elements, steps, dt):
+    return hs.SimConfig(
+        channel=channel, cyto_elements=cyto_elements, er_elements=er_elements,
+        dt=dt, t_end=steps * dt, weights_path=weights if channel == "surrogate" else None,
+        **({} if plasma else SEALED),
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(**RUN_DRAWS)
 def test_run_is_a_chain_of_steps(
     surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt
 ):
     # the run and a chain of step_imex calls on a state of our own must agree
-    # bit for bit, and two runs must not share a field buffer
-    weights = surrogate_weights if channel == "surrogate" else None
-    cfg = hs.SimConfig(
-        channel=channel, cyto_elements=cyto_elements, er_elements=er_elements,
-        dt=dt, t_end=steps * dt, weights_path=weights, **({} if plasma else SEALED),
-    )
+    # bit for bit and count the same boundary passes, each loop making 1 to
+    # BOUNDARY_ITER_MAX + 1 a step; two runs must not share a field buffer
+    cfg = _run_config(surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt)
     out, again = hs.run_simulation(cfg), hs.run_simulation(cfg)
     series, u_max, final = _chain_of_steps(cfg)
     for got, want in zip((out.times, out.u_r, out.u_l, out.ue_l, out.p), series):
         assert np.array_equal(got, want)
     assert out.peak_u_anywhere == u_max
+    counts = (out.passes, out.max_passes)
+    assert counts == (again.passes, again.max_passes) == (final.passes, final.max_passes)
+    for loop in ("outer", "er"):
+        total, top = getattr(out.passes, loop), getattr(out.max_passes, loop)
+        assert steps <= total <= (hs.BOUNDARY_ITER_MAX + 1) * steps
+        assert 1 <= top <= min(total, hs.BOUNDARY_ITER_MAX + 1)
+    assert out.max_passes.exact_tests <= out.passes.exact_tests <= out.passes.outer + out.passes.er
     runs = (out.final_state, again.final_state)
     for name in ("u", "b", "ue"):
         assert np.array_equal(getattr(out.final_state, name), getattr(final, name))
     arrays = [getattr(state, name) for state in runs for name in ("u", "b", "ue")]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+# Step changes for the exit bound: +-0, subnormals, tiny, huge, inf and NaN.
+CHANGES = st.one_of(st.floats(), st.floats(-1e-9, 1e-9))
+RESPONSES = arrays(
+    np.float64, st.tuples(st.just(2), st.integers(1, 12)),
+    elements=st.one_of(st.floats(), st.floats(-10.0, 10.0)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(d_alpha=CHANGES, d_beta=CHANGES, g=RESPONSES)
+@example(d_alpha=1e-10, d_beta=0.0, g=np.ones((2, 3)))
+@example(d_alpha=5e-11, d_beta=-5e-11, g=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+@example(d_alpha=5e-324, d_beta=-0.0, g=np.array([[1e-300, np.inf], [0.0, 0.0]]))
+@example(d_alpha=-0.0, d_beta=1e-20, g=np.array([[np.nan, 1.0], [1e10, -1e10]]))
+def test_a_certified_exit_passes_the_exact_test(d_alpha, d_beta, g):
+    # whenever the scalar bound accepts a pass's change, the full-vector
+    # change, formed as step_imex forms it, is within the tolerance too; a
+    # non-finite input never passes
+    g_l, g_r = g
+    g_l_max, g_r_max = np.maximum.reduce(np.abs(g), axis=1).tolist()
+    finite = np.isfinite([d_alpha, d_beta, g_l_max, g_r_max])
+    with np.errstate(all="ignore"):
+        if hs.change_within_tol(d_alpha, g_l_max, d_beta, g_r_max):
+            change = d_alpha * g_l + d_beta * g_r
+            assert np.maximum.reduce(np.abs(change)) <= hs.BOUNDARY_ITER_TOL
+        # the single-column form of the u_e loop
+        if hs.change_within_tol(d_alpha, g_l_max):
+            assert np.maximum.reduce(np.abs(d_alpha * g_l)) <= hs.BOUNDARY_ITER_TOL
+            assert finite[[0, 2]].all()
+    if not finite.all():
+        assert not hs.change_within_tol(d_alpha, g_l_max, d_beta, g_r_max)
+
+
+def _assert_same_run(got, want):
+    for name in ("times", "u_r", "u_l", "ue_l", "p"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("u", "b", "ue"):
+        assert np.array_equal(getattr(got.final_state, name), getattr(want.final_state, name)), name
+    assert got.peak_u_anywhere == want.peak_u_anywhere
+    # the bound never decides an exit the exact test would not
+    assert (got.passes.outer, got.passes.er) == (want.passes.outer, want.passes.er)
+
+
+def _run_without_the_bound(cfg):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hs, "change_within_tol", lambda *args: False)
+        return hs.run_simulation(cfg)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=15)
+@given(**RUN_DRAWS)
+def test_the_exit_bound_changes_no_bit(
+    surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt
+):
+    # with the bound failing every time, each exit falls to the exact test,
+    # and the run is the default run bit for bit
+    cfg = _run_config(surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt)
+    want, got = hs.run_simulation(cfg), _run_without_the_bound(cfg)
+    _assert_same_run(got, want)
+    assert got.passes.exact_tests >= 2 * steps  # both loops of every step
+
+
+def test_a_run_from_rest_takes_the_first_pass_exact_test():
+    # nothing moves at rest (a sealed cell, buffer at equilibrium, an inert ER
+    # membrane): each loop exits on its first pass, where the change is
+    # measured against the old field and no bound applies
+    steps = 20
+    cfg = sealed_config(
+        channel="zero", cyto_elements=6, er_elements=6, dt=1e-2, t_end=steps * 1e-2,
+        er=ErParams(serca_scale=0.0, leak=0.0),
+    )
+    want = hs.run_simulation(cfg)
+    assert want.passes == hs.PassCounts(outer=steps, er=steps, exact_tests=2 * steps)
+    _assert_same_run(_run_without_the_bound(cfg), want)
 
 
 def _static_er_response(cfg):

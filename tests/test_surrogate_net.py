@@ -5,8 +5,10 @@ ReLU kinks; the first Adam step against its closed form (a fresh optimizer
 moves every coordinate by learning_rate * sign(g) up to the epsilon floor);
 ReLU dead paths by exact loss invariance under perturbations of weights that
 feed inactive units.  The in-place trainer must match a list-based reference
-trainer (allocating forward/backward, per-layer Adam) bit for bit.  The CWNN
-container must reject every single-byte flip and every truncation.
+trainer (allocating forward/backward, per-layer Adam) bit for bit, and a
+single input through the buffers its parameters keep must match a fresh
+one-row batch bit for bit.  The CWNN container must reject every
+single-byte flip and every truncation.
 """
 
 import numpy as np
@@ -47,6 +49,32 @@ def test_forward_batch_matches_single():
     single = [sn.forward(params, x) for x in xs]
     # BLAS may reassociate the batched accumulation; only ulp-level slack
     assert_allclose(batch_out, single, rtol=1e-12, atol=1e-15)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    seed=st.integers(0, 3),
+    inputs=st.lists(
+        st.tuples(st.floats(0.0, 1.0), *2 * [st.one_of(st.floats(-10.0, 10.0), st.floats())]),
+        min_size=1, max_size=4,
+    ),
+    dt=st.floats(1e-6, 1.0),
+)
+def test_single_input_forward_is_the_one_row_batch(seed, inputs, dt):
+    # a single input runs through buffers its params keep, with the matmul
+    # calls of a fresh one-row batch: the same bits, call after call
+    params = sn.init_network(seed=seed)
+    for p_prev, u, dudt in inputs:
+        x = np.array([p_prev, u, dudt])
+        with np.errstate(all="ignore"):  # infinite inputs
+            rate = sn.forward(params, x[None, :])[0]
+            assert np.array_equal(sn.forward(params, x), rate, equal_nan=True)
+            if np.isfinite(rate):
+                want = min(max(p_prev + dt * rate, 0.0), 1.0)
+                assert sn.predict_next_probability(params, p_prev, u, dudt, dt) == want
+            else:
+                with pytest.raises(StateInvariantError, match="surrogate rate"):
+                    sn.predict_next_probability(params, p_prev, u, dudt, dt)
 
 
 def test_forward_rejects_bad_shapes():
