@@ -17,14 +17,13 @@ Time stepping is a first-order IMEX splitting.  Per step:
   (i)   advance the gating model with the newest interface concentration
         (Markov backward-Euler step, surrogate explicit step, or P = 0);
   (ii)  solve for u implicitly, with b, u_e and P lagged: the reaction is
-        linear in the new u and goes into the matrix, the Hill-type boundary
-        terms (PMCA/NCX at R, SERCA at L) are resolved by a fixed-point
-        iteration whose passes linearize the boundary terms at the current
-        end values (tolerance 1e-10 on the change at every node, at most 50
-        passes);
+        linear in the new u and goes into the matrix, the membrane fluxes
+        (plasma at R, ER at L) are resolved by a fixed-point iteration whose
+        passes linearize them at the current end values (tolerance 1e-10 on
+        the change at every node, at most 50 passes);
   (iii) solve for b implicitly against the old u (single linear solve);
   (iv)  solve for u_e implicitly against the old u at L, same fixed-point
-        treatment of the SERCA term.
+        treatment of the ER flux.
 
 With b, u_e and P lagged the three implicit systems are independent, so one
 step makes one tridiagonal solve: the matrices (M/dt + D K - D A) plus the
@@ -51,8 +50,9 @@ bound moves no exit and no bit, and u and u_e are formed once, after both
 loops.  A zero 2x2 determinant or Sherman-Morrison denominator, which is
 where the full matrix would be singular, raises SingularMatrixError.
 
-The PMCA, NCX and SERCA laws and their slopes come from channel_flux
-(outer_pumps, serca_pump); this module only places them in the boundary rows.
+The membranes enter only through channel_flux's two laws, plasma_exchange
+and er_exchange, which give each flux with its slopes: the block matrix holds
+no membrane term, and each pass puts the linearized fluxes on the end rows.
 
 A run is one SimState that step_imex advances in place; run_simulation calls
 step_imex by its module-level name once per step.  The state owns the stacked
@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channel_flux, fem_core, ryr_markov, surrogate_net
-from .channel_flux import BufferParams, ErParams, PlasmaParams, outer_pumps, serca_pump
+from .channel_flux import BufferParams, ErParams, PlasmaParams, er_exchange, plasma_exchange
 from .errors import ConfigError, SingularMatrixError, SolverDivergenceError, StateInvariantError
 from .fem_core import BandedMatrix, Mesh1D, build_mesh, solve_tridiagonal
 from .ryr_markov import MarkovRates, MarkovState
@@ -215,7 +215,7 @@ class _System:
 
     cyto: Mesh1D
     er: Mesh1D
-    static: np.ndarray  # M/dt + D (K - A) per field, plasma leak on u's R row
+    static: np.ndarray  # M/dt + D (K - A) per field, no membrane term
     mass: BandedMatrix  # M of all three blocks: nodal data to right-hand side
 
 
@@ -233,7 +233,6 @@ def build_system(cfg: SimConfig) -> _System:
             mass_e / cfg.dt + cfg.d_calcium * (stiff_e - conv_e),
         )
     )
-    static[1, cyto.num_nodes - 1] += cfg.plasma.leak
     return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))))
 
 
@@ -336,7 +335,6 @@ def step_imex(state: SimState) -> None:
     # (i) gating update with the newest interface concentration
     channel = state.channel.advance(u_l, dt)
     p_open = channel.probability
-    gate = er_p.ryr_scale * p_open + er_p.leak  # linear interface conductance
 
     # One block-diagonal solve for (ii)-(iv): the reactions M diag(bind b_old)
     # on u and M diag(unbind + bind u_old) on b are column scalings, and the
@@ -351,7 +349,7 @@ def step_imex(state: SimState) -> None:
     data = np.divide(w, dt, out=state.data)
     state.data_ub += state.source
     y = sys_.mass.matvec(data, out=state.rhs[:, 0])
-    y[n_c - 1] += pl.leak * pl.c_out + cfg.stimulus.value(t_next)
+    y[n_c - 1] += cfg.stimulus.value(t_next)
     x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, state.rhs)
     # the largest |g_L|, |g_e| and |g_R| for the bound that certifies a
     # loop's exit (g_L and g_R over the u and b rows, whose b entries are zero)
@@ -359,21 +357,21 @@ def step_imex(state: SimState) -> None:
     g_l_max, g_e_max, g_r_max = np.maximum.reduceat(state.g_abs, state.g_starts).tolist()
     exact_tests = 0
 
-    # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes SERCA at u_L
-    # and PMCA/NCX at u_R and solves the 2x2 system for (alpha, beta)
+    # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes the ER flux J
+    # at (u_L, old u_e(L)) and the plasma flux F at u_R, and solves the 2x2
+    # system alpha = -J, beta = F at the new end values
     y_u, g_l, g_r = x[:n_c, 0], x[:n_c, 1], x[:n_c, 2]
     y_ll, g_ll, g_rl = x[0].tolist()
     y_rr, g_lr, g_rr = x[n_c - 1].tolist()
     ul, ur = float(w[0]), float(w[n_c - 1])
     alpha = beta = None
     for outer_passes in range(1, BOUNDARY_ITER_MAX + 2):
-        pumps, pumps_d = outer_pumps(ur, pl)
-        serca, serca_d, _ = serca_pump(ul, ue_l, er_p)
-        c_l = gate + serca_d
-        r_l = gate * ue_l - serca + serca_d * ul - c_l * y_ll
-        r_r = -pumps + pumps_d * ur - pumps_d * y_rr
-        a11, a12 = 1.0 + c_l * g_ll, c_l * g_rl
-        a21, a22 = pumps_d * g_lr, 1.0 + pumps_d * g_rr
+        f, f_u = plasma_exchange(ur, pl)
+        j, j_u, _ = er_exchange(ul, ue_l, p_open, er_p)
+        r_l = j_u * (ul - y_ll) - j
+        r_r = f - f_u * (ur - y_rr)
+        a11, a12 = 1.0 + j_u * g_ll, j_u * g_rl
+        a21, a22 = -f_u * g_lr, 1.0 - f_u * g_rr
         det = a11 * a22 - a12 * a21
         if det == 0.0:
             raise SingularMatrixError(f"singular cytosolic boundary system at t = {t_next}")
@@ -395,20 +393,20 @@ def step_imex(state: SimState) -> None:
         raise SolverDivergenceError(
             f"outer-boundary iteration did not converge at t = {t_next}")
 
-    # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass puts
-    # gate - dSERCA/du_e on the L row as a Sherman-Morrison update; it starts
-    # from w[-1], above the floor as ue_l is, and checks each iterate it makes
+    # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass
+    # linearizes J at (old u_L, u_e(L)) and solves beta_e = J at the new end
+    # value (Sherman-Morrison); it starts from w[-1], above the floor as ue_l
+    # is, and checks each iterate it makes
     y_e, g_e = x[2 * n_c :, 0], x[2 * n_c :, 1]
     y_el, g_el = x[-1, :2].tolist()
     uel = float(w[-1])
     beta_e = None
     for er_passes in range(1, BOUNDARY_ITER_MAX + 2):
-        serca, _, serca_d = serca_pump(u_l, uel, er_p)  # serca_d = d/du_e < 0
-        s = gate - serca_d
-        denom = 1.0 + s * g_el
+        j, _, j_e = er_exchange(u_l, uel, p_open, er_p)
+        denom = 1.0 - j_e * g_el
         if denom == 0.0:
             raise SingularMatrixError(f"singular ER boundary system at t = {t_next}")
-        new_beta_e = (gate * u_l + serca - serca_d * uel - s * y_el) / denom
+        new_beta_e = (j - j_e * (uel - y_el)) / denom
         new_l = y_el + new_beta_e * g_el
         if new_l <= channel_flux.ER_CONCENTRATION_FLOOR:
             raise StateInvariantError(f"ER interface concentration collapsed: {new_l}")
@@ -466,8 +464,7 @@ def conserved_quantity(state: SimState) -> float:
 
     With the outer membrane sealed, dQ/dt = 0: the reaction cancels in u - b
     and the interface fluxes cancel by the sign convention.  A cell is sealed
-    by zero plasma-membrane fluxes and no stimulus:
-    plasma=PlasmaParams(pmca_scale=0, ncx_scale=0, leak=0) and
+    by a PlasmaParams whose pump scales and conductance are zero, and by
     stimulus=StimulusSpec(amplitude=0).
     """
     rc = state.system.cyto.nodes

@@ -25,8 +25,7 @@ During a simulation the network advances the open probability explicitly,
     P_next = clip(P + dt * F(P, u, du/dt), 0, 1),
 
 with du/dt formed from the two most recent interface concentrations and taken
-as 0 on the first step.  That one-row forward runs through activation
-buffers the parameters keep.
+as 0 on the first step.
 
 Weights travel in a small binary container (magic "CWNN", little-endian,
 CRC32 trailer); see save_weights / load_weights.
@@ -57,8 +56,7 @@ class NetworkParams:
     theta is the one flat parameter vector; weights[i] and biases[i] are views
     into it, so an in-place edit of either shows in the other.  The
     constructor copies the given arrays into a new vector and checks their
-    shapes and finiteness.  single_row holds forward's one-row activation
-    buffers once it has been given a single input.
+    shapes and finiteness.
     """
 
     def __init__(self, weights, biases):
@@ -85,7 +83,6 @@ class NetworkParams:
 
     def _bind(self, theta: np.ndarray) -> None:
         self.theta = theta
-        self.single_row = None  # forward's one-row activation buffers, made on first use
         self.weights, self.biases = [], []
         pos = 0
         for fan_out, fan_in in zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]):
@@ -168,23 +165,18 @@ def forward(params: NetworkParams, x: np.ndarray):
 
     Rows are evaluated in blocks of FORWARD_BLOCK_ROWS, through one set of
     activation buffers of min(N, FORWARD_BLOCK_ROWS) rows, into one output
-    vector.  A single input runs through the one-row buffers that params
-    keeps from its first single call, with the same matmul calls.
+    vector; a single input is a one-row batch.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
-    if single:
-        if params.single_row is None:
-            params.single_row = _activation_buffers(1)
-        return float(_forward_pass(params, a, params.single_row)[0])
     out = np.empty(a.shape[0])
     acts = _activation_buffers(min(a.shape[0], FORWARD_BLOCK_ROWS))
     for block, _, pred in _forward_blocks(params, a, acts):
         out[block] = pred
-    return out
+    return float(out[0]) if single else out
 
 
 def _check_batch(batch) -> np.ndarray:

@@ -7,9 +7,10 @@ the workloads pass would break the benchmark only when it runs; these checks
 catch it in the test suite instead.  A traced run must also count each of
 its steps, which it does only if the run calls the wrapped step, and a traced
 training run each batch's backward and Adam step and each epoch's validation
-loss.
-bench/run.py pins the BLAS thread variables when it is imported; monkeypatch
-sets them first so that teardown restores them.
+loss.  bench/bdf_reference.py integrates the semidiscrete system through the
+checked flux laws; its right-hand side must still evaluate.
+bench/run.py and bench/bdf_reference.py pin the BLAS thread variables when
+they are imported; monkeypatch sets them first so that teardown restores them.
 """
 
 import sys
@@ -33,7 +34,7 @@ def bench(monkeypatch):
     import tracing
 
     yield run, tracing
-    for name in ("run", "tracing", "checks"):
+    for name in ("run", "tracing", "checks", "bdf_reference"):
         sys.modules.pop(name, None)
 
 
@@ -100,3 +101,14 @@ def test_every_workload_command_parses(bench, tmp_path):
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"{name} {stage}: cawave {' '.join(argv)} does not parse")
+
+
+def test_bdf_reference_right_hand_side_evaluates(bench, monkeypatch):
+    # the script prepends src/ to sys.path when it is imported
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    import bdf_reference
+
+    rhs, y0 = bdf_reference.semidiscrete_rhs(bdf_reference.wave_config())
+    f = rhs(0.0, y0)
+    assert f.shape == y0.shape
+    assert np.all(np.isfinite(f))

@@ -3,9 +3,11 @@
 The default parameter set is tuned so that the resting state (u = 0.05,
 b = 37, u_e = 250) is a fixed point of every flux: the buffer reaction
 cancels exactly and the outer and store membranes carry negligible net flux
-once the gate sits at its resting open probability.  The value-and-slope
-laws that the solver linearizes must agree with the checked flux functions,
-and each slope with a central difference of its value.
+once the gate sits at its resting open probability.  Each membrane law is
+one unchecked function that the solver linearizes with: its flux must equal
+the checked flux function's bit for bit, and each slope a central difference
+of the flux.  The pump terms are read off the plasma law with the other
+terms' coefficients zeroed.
 """
 
 import math
@@ -32,21 +34,31 @@ def test_buffer_reaction_signs():
     assert cf.buffer_reaction(1.0, REST_B) < 0.0
 
 
+def pmca(u):
+    """The outward PMCA rate: the plasma law with NCX and the leak zeroed."""
+    return -cf.plasma_exchange(u, cf.PlasmaParams(ncx_scale=0.0, leak=0.0))[0]
+
+
+def ncx(u):
+    """The outward NCX rate: the plasma law with PMCA and the leak zeroed."""
+    return -cf.plasma_exchange(u, cf.PlasmaParams(pmca_scale=0.0, leak=0.0))[0]
+
+
 def test_pump_reference_values():
-    assert cf.pmca(REST_U) == pytest.approx(3.48360655737705, abs=1e-12)
-    assert cf.ncx(REST_U) == pytest.approx(1.0162162162162163, abs=1e-12)
-    assert cf.pmca(0.0) == 0.0
-    assert cf.ncx(0.0) == 0.0
+    assert pmca(REST_U) == pytest.approx(3.48360655737705, abs=1e-12)
+    assert ncx(REST_U) == pytest.approx(1.0162162162162163, abs=1e-12)
+    assert pmca(0.0) == 0.0
+    assert ncx(0.0) == 0.0
 
 
 def test_pumps_saturate():
     p = cf.PlasmaParams()
-    assert cf.pmca(1e6) == pytest.approx(p.pmca_scale, rel=1e-9)
-    assert cf.ncx(1e9) == pytest.approx(p.ncx_scale, rel=1e-6)
+    assert pmca(1e6) == pytest.approx(p.pmca_scale, rel=1e-9)
+    assert ncx(1e9) == pytest.approx(p.ncx_scale, rel=1e-6)
     # monotone in u
     grid = [0.01, 0.05, 0.5, 2.0, 20.0]
-    assert all(cf.pmca(a) < cf.pmca(b) for a, b in zip(grid, grid[1:]))
-    assert all(cf.ncx(a) < cf.ncx(b) for a, b in zip(grid, grid[1:]))
+    assert all(pmca(a) < pmca(b) for a, b in zip(grid, grid[1:]))
+    assert all(ncx(a) < ncx(b) for a, b in zip(grid, grid[1:]))
 
 
 def test_plasma_flux_rest_balance():
@@ -85,9 +97,9 @@ def test_er_flux_components():
 
 def test_flux_input_validation():
     with pytest.raises(ValueError):
-        cf.pmca(-0.1)
+        cf.plasma_flux(-0.1)
     with pytest.raises(ValueError):
-        cf.ncx(math.nan)
+        cf.plasma_flux(math.nan)
     with pytest.raises(ValueError):
         cf.plasma_flux(-1e-6)
     with pytest.raises(ValueError):
@@ -118,6 +130,7 @@ def test_param_validation():
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 CYTOSOLIC = st.floats(0.0, 50.0)
 STORE = st.floats(1.0, 500.0)
+PROBABILITY = st.floats(0.0, 1.0)
 
 
 def central_difference(f, x):
@@ -131,26 +144,35 @@ def assert_slope(slope, f, x):
 
 @PROPERTY_SETTINGS
 @given(u=CYTOSOLIC)
-def test_outer_pumps_value_and_slope(u):
-    rate, slope = cf.outer_pumps(u)
-    assert rate == cf.pmca(u) + cf.ncx(u)
-    assert_slope(slope, lambda v: cf.outer_pumps(v)[0], u)
+def test_plasma_exchange_value_and_slope(u):
+    flux, slope = cf.plasma_exchange(u)
+    assert flux == cf.plasma_flux(u)
+    assert_slope(slope, lambda v: cf.plasma_exchange(v)[0], u)
+
+
+@PROPERTY_SETTINGS
+@given(u=CYTOSOLIC, u_e=STORE, p=PROBABILITY)
+def test_er_exchange_value_and_slopes(u, u_e, p):
+    flux, slope_u, slope_ue = cf.er_exchange(u, u_e, p)
+    assert flux == cf.er_flux(u, u_e, p)
+    assert_slope(slope_u, lambda v: cf.er_exchange(v, u_e, p)[0], u)
+    assert_slope(slope_ue, lambda v: cf.er_exchange(u, v, p)[0], u_e)
 
 
 @PROPERTY_SETTINGS
 @given(u=CYTOSOLIC, u_e=STORE)
-def test_serca_pump_value_and_slopes(u, u_e):
-    rate, slope_u, slope_ue = cf.serca_pump(u, u_e)
-    # with the gate shut and no leak, er_flux is the SERCA term alone
-    assert rate == cf.er_flux(u, u_e, 0.0, cf.ErParams(leak=0.0))
-    assert_slope(slope_u, lambda v: cf.serca_pump(v, u_e)[0], u)
-    assert_slope(slope_ue, lambda v: cf.serca_pump(u, v)[0], u_e)
+def test_er_exchange_with_the_gate_shut_and_no_leak_is_serca(u, u_e):
+    params = cf.ErParams(leak=0.0)
+    serca = params.serca_scale * u / ((params.serca_k + u) * u_e)
+    assert cf.er_exchange(u, u_e, 0.0, params)[0] == serca
 
 
 def test_solver_laws_accept_tiny_negative_iterates():
     # the solver clamps only below -1e-8; the checked functions reject these
+    pumps_only, serca_only = cf.PlasmaParams(leak=0.0), cf.ErParams(leak=0.0)
     for u in (-1e-8, -1e-12):
-        assert cf.outer_pumps(u)[0] < 0.0 < cf.outer_pumps(u)[1]
-        assert cf.serca_pump(u, 250.0)[0] < 0.0
+        outward, outward_slope = (-v for v in cf.plasma_exchange(u, pumps_only))
+        assert outward < 0.0 < outward_slope
+        assert cf.er_exchange(u, 250.0, 0.0, serca_only)[0] < 0.0
         with pytest.raises(ValueError):
-            cf.pmca(u)
+            cf.plasma_flux(u)

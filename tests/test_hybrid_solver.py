@@ -23,6 +23,8 @@ change the full-vector test would reject, and a run with the bound always
 failing must equal the default run bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +34,7 @@ from hypothesis.extra.numpy import arrays
 from cawave import cli, fem_core
 from cawave import hybrid_solver as hs
 from cawave import surrogate_net as sn
-from cawave.channel_flux import ErParams, PlasmaParams, outer_pumps, serca_pump
+from cawave.channel_flux import ErParams, PlasmaParams, er_exchange, plasma_exchange
 from cawave.config import load_config
 from cawave.errors import ConfigError, SingularMatrixError, StateInvariantError
 
@@ -320,13 +322,17 @@ def _fixed_point(start, system):
 
 
 def reference_step(state, cfg):
-    """One IMEX step on dense matrices: (ii) u, (iii) b, (iv) u_e in turn."""
+    """One IMEX step on dense matrices: (ii) u, (iii) b, (iv) u_e in turn.
+
+    The gate's and the plasma leak's linear terms sit in the matrices here;
+    SERCA and the pumps come from the laws with those terms zeroed."""
     cyto = fem_core.build_mesh(cfg.er_radius, cfg.cell_radius, cfg.cyto_elements)
     er = fem_core.build_mesh(0.0, cfg.er_radius, cfg.er_elements)
     assemble = (fem_core.assemble_mass, fem_core.assemble_stiffness, fem_core.assemble_convection)
     mc, kc, ac = (f(cyto).to_dense() for f in assemble)
     me, ke, ae = (f(er).to_dense() for f in assemble)
     dt, pl, er_p, bf = cfg.dt, cfg.plasma, cfg.er, cfg.buffer
+    pumps_only, serca_only = replace(pl, leak=0.0), replace(er_p, leak=0.0)
     u_old, b_old, ue_old = (np.maximum(f, 0.0) for f in (state.u, state.b, state.ue))
     u_l, ue_l = u_old[0], ue_old[-1]
     gate = er_p.ryr_scale * state.channel.advance(u_l, dt).probability + er_p.leak
@@ -339,12 +345,12 @@ def reference_step(state, cfg):
     r_u[-1] += pl.leak * pl.c_out + cfg.stimulus.value(state.t + dt)
 
     def u_system(x):
-        pumps, pumps_d = outer_pumps(x[-1], pl)
-        serca, serca_d, _ = serca_pump(x[0], ue_l, er_p)
+        inward, inward_d = plasma_exchange(x[-1], pumps_only)
+        serca, serca_d, _ = er_exchange(x[0], ue_l, 0.0, serca_only)
         a, r = a_u.copy(), r_u.copy()
-        a[-1, -1] += pumps_d
+        a[-1, -1] -= inward_d
         a[0, 0] += serca_d
-        r[-1] += -pumps + pumps_d * x[-1]
+        r[-1] += inward - inward_d * x[-1]
         r[0] += -serca + serca_d * x[0]
         return a, r
 
@@ -358,7 +364,7 @@ def reference_step(state, cfg):
     r_e[-1] += gate * u_l
 
     def ue_system(x):
-        serca, _, serca_d = serca_pump(u_l, x[-1], er_p)
+        serca, _, serca_d = er_exchange(u_l, x[-1], 0.0, serca_only)
         a, r = a_e.copy(), r_e.copy()
         a[-1, -1] -= serca_d
         r[-1] += serca - serca_d * x[-1]
@@ -631,30 +637,29 @@ def _static_er_response(cfg):
 
 
 def _singular_er_slope(cfg):
-    """A SERCA slope d/du_e that makes the ER Sherman-Morrison denominator
-    1 + (gate - slope) g_e(L) exactly zero, with the channel shut (P = 0).
-    Only a g_e(L) equal bit for bit to the one step_imex reads makes it zero."""
+    """An ER flux slope d/du_e that makes the ER Sherman-Morrison denominator
+    1 - slope g_e(L) exactly zero.  Only a g_e(L) equal bit for bit to the
+    one step_imex reads makes it zero."""
     g_el = float(_static_er_response(cfg)[-1])
-    gate = cfg.er.ryr_scale * 0.0 + cfg.er.leak
-    slope = gate + 1.0 / g_el
+    slope = 1.0 / g_el
     for _ in range(64):
-        denom = 1.0 + (gate - slope) * g_el
+        denom = 1.0 - slope * g_el
         if denom == 0.0:
             return slope
         slope = np.nextafter(slope, np.inf if denom > 0.0 else -np.inf)
     raise AssertionError("no slope makes the denominator exactly zero")
 
 
-def _patch_serca_slope(monkeypatch, slope):
-    def serca_with_slope(u, u_e, params):
+def _patch_er_slope(monkeypatch, slope):
+    def er_with_slope(u, u_e, open_probability, params):
         return 0.0, 0.0, slope
 
-    monkeypatch.setattr(hs, "serca_pump", serca_with_slope)
+    monkeypatch.setattr(hs, "er_exchange", er_with_slope)
 
 
 def test_singular_boundary_system_raises(monkeypatch):
     cfg = hs.SimConfig(channel="zero", cyto_elements=8, er_elements=8)
-    _patch_serca_slope(monkeypatch, _singular_er_slope(cfg))
+    _patch_er_slope(monkeypatch, _singular_er_slope(cfg))
     sys_ = hs.build_system(cfg)
     with pytest.raises(SingularMatrixError):
         hs.step_imex(hs.make_initial_state(cfg, sys_))
@@ -662,7 +667,7 @@ def test_singular_boundary_system_raises(monkeypatch):
 
 def test_singular_boundary_system_exits_3(monkeypatch, tmp_path, capsys):
     overrides = dict(channel="zero", dt=0.01, t_end=0.01, er_elements=8, cyto_elements=8)
-    _patch_serca_slope(monkeypatch, _singular_er_slope(load_config(None).sim_config(**overrides)))
+    _patch_er_slope(monkeypatch, _singular_er_slope(load_config(None).sim_config(**overrides)))
     argv = ["simulate", "--channel", "zero", "--dt", "0.01", "--t-end", "0.01",
             "--elements", "8", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
@@ -671,7 +676,7 @@ def test_singular_boundary_system_exits_3(monkeypatch, tmp_path, capsys):
 
 def test_a_collapsing_er_iterate_raises_at_once(monkeypatch):
     # The store holds 5e-11 everywhere, above the collapse floor of 1e-12.  A
-    # constant SERCA rate, with zero slopes, pulls the L node down by 6e-11 in
+    # constant ER flux, with zero slopes, pulls the L node down by 6e-11 in
     # a first pass that already converges: the iterate is at or below the
     # floor, yet inside the range check's band.  The step must raise then and
     # there, not commit it for the next step to find.
@@ -679,9 +684,8 @@ def test_a_collapsing_er_iterate_raises_at_once(monkeypatch):
     sys_ = hs.build_system(cfg)
     rest = hs.make_initial_state(cfg, sys_)
     level, drop = 5e-11, 6e-11
-    g_el, gate = float(_static_er_response(cfg)[-1]), cfg.er.leak
-    rate = gate * (level - rest.u[0]) - drop * (1.0 + gate * g_el) / g_el
-    monkeypatch.setattr(hs, "serca_pump", lambda u, u_e, params: (rate, 0.0, 0.0))
+    flux = -drop / float(_static_er_response(cfg)[-1])
+    monkeypatch.setattr(hs, "er_exchange", lambda u, u_e, p, params: (flux, 0.0, 0.0))
     ue = np.full_like(rest.ue, level)
     state = hs.SimState(cfg, sys_, rest.u, rest.b, ue, rest.channel)
     with pytest.raises(StateInvariantError, match="ER interface concentration collapsed"):

@@ -6,9 +6,8 @@ moves every coordinate by learning_rate * sign(g) up to the epsilon floor);
 ReLU dead paths by exact loss invariance under perturbations of weights that
 feed inactive units.  The in-place trainer must match a list-based reference
 trainer (allocating forward/backward, per-layer Adam) bit for bit, and a
-single input through the buffers its parameters keep must match a fresh
-one-row batch bit for bit.  The CWNN container must reject every
-single-byte flip and every truncation.
+single input must match the one-row batch bit for bit.  The CWNN container
+must reject every single-byte flip and every truncation.
 """
 
 import numpy as np
@@ -61,8 +60,7 @@ def test_forward_batch_matches_single():
     dt=st.floats(1e-6, 1.0),
 )
 def test_single_input_forward_is_the_one_row_batch(seed, inputs, dt):
-    # a single input runs through buffers its params keep, with the matmul
-    # calls of a fresh one-row batch: the same bits, call after call
+    # a single input runs as a one-row batch: the same bits, call after call
     params = sn.init_network(seed=seed)
     for p_prev, u, dudt in inputs:
         x = np.array([p_prev, u, dudt])
