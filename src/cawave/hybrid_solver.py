@@ -19,8 +19,7 @@ Time stepping is a first-order IMEX splitting.  Per step:
   (ii)  solve for u implicitly, with b, u_e and P lagged: the reaction is
         linear in the new u and goes into the matrix, the membrane fluxes
         (plasma at R, ER at L) are resolved by a fixed-point iteration whose
-        passes linearize them at the current end values (tolerance 1e-10 on
-        the change at every node, at most 50 passes);
+        passes linearize them at the current end values;
   (iii) solve for b implicitly against the old u (single linear solve);
   (iv)  solve for u_e implicitly against the old u at L, same fixed-point
         treatment of the ER flux.
@@ -37,18 +36,17 @@ u_e systems, so by the Sherman-Morrison-Woodbury identity
     u   = y_u + alpha g_L + beta g_R      (2x2 system in alpha, beta)
     u_e = y_e + beta_e g_e                (scalar Sherman-Morrison update)
 
-and a pass is plain float arithmetic on the end values.  A loop exits once
-the change between its last two passes is within the tolerance at every
-node.  The change at the ends bounds it from below, so nothing more is
-looked at until both ends have settled.  Then the scalar
-|d alpha| max|g_L| + |d beta| max|g_R| (|d beta_e| max|g_e| for u_e), with
-the maxima taken once per step, bounds it from above: rounding is monotone,
-so when the scalar is within the tolerance every node is too
-(change_within_tol).  Otherwise, and on a first pass, whose change is
-measured against the old field, the full-vector change decides.  So the
-bound moves no exit and no bit, and u and u_e are formed once, after both
-loops.  A zero 2x2 determinant or Sherman-Morrison denominator, which is
-where the full matrix would be singular, raises SingularMatrixError.
+and a pass is plain float arithmetic on the end values.  A loop exits at
+the first pass where change_within_tol accepts the scalar
+|d alpha| max|g_L| + |d beta| max|g_R| (|d beta_e| max|g_e| for u_e), the
+d's taken from the pass before and the maxima once per step.  The scalar
+bounds the change d alpha g_L + d beta g_R (d beta_e g_e) at every node from
+above, so at an exit no node moved by more than BOUNDARY_ITER_TOL = 1e-10.
+A first pass has nothing to compare with, so every loop makes at least two
+passes; a loop with no exit after BOUNDARY_ITER_MAX + 1 passes raises
+SolverDivergenceError.  u and u_e are formed once, after both loops.  A
+zero 2x2 determinant or Sherman-Morrison denominator, which is where the
+full matrix would be singular, raises SingularMatrixError.
 
 The membranes enter only through channel_flux's two laws, plasma_exchange
 and er_exchange, which give each flux with its slopes: the block matrix holds
@@ -61,14 +59,13 @@ BandedMatrix (the u_e block never changes), the Fortran (N, 3) right-hand
 side, and the scale, source, data, clamp and |g| buffers with views of their
 u and b blocks fixed at construction, so the reaction's scaling and data
 take a few whole-block calls.  It also counts the boundary passes of each
-loop and the full-vector tests (PassCounts), in total and as the most in
-one step; SimOutput and the simulate sidecar carry both.  Two reduceat
-calls bound all three new fields at once, before they are copied into w:
-they are the range check (NaN fails it; a step that raises leaves the state
-as it was, counts included) and the observer's u maximum.  Every step clamps
-the fields at zero for the reaction and flux terms while the data keep the
-raw fields; SimState and the range check admit nothing below -1e-8, so the
-clamp only removes roundoff.
+loop (PassCounts), in total and as the most in one step; SimOutput and the
+simulate sidecar carry both.  Two reduceat calls bound all three new fields
+at once, before they are copied into w: they are the range check (NaN fails
+it; a step that raises leaves the state as it was, counts included) and the
+observer's u maximum.  Every step clamps the fields at zero for the reaction
+and flux terms while the data keep the raw fields; SimState and the range
+check admit nothing below -1e-8, so the clamp only removes roundoff.
 """
 
 from __future__ import annotations
@@ -238,13 +235,10 @@ def build_system(cfg: SimConfig) -> _System:
 
 @dataclass(slots=True)
 class PassCounts:
-    """Boundary-iteration counts: passes of the outer (u) and ER (u_e) loops,
-    and full-vector tests, made where the ends had settled but the scalar
-    bound did not accept (first passes included)."""
+    """Boundary-iteration counts: passes of the outer (u) and ER (u_e) loops."""
 
     outer: int = 0
     er: int = 0
-    exact_tests: int = 0
 
 
 class SimState:
@@ -308,14 +302,15 @@ def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimStat
 
 
 def change_within_tol(d_alpha: float, g_l: float, d_beta: float = 0.0, g_r: float = 0.0) -> bool:
-    """Whether |d_alpha| g_l + |d_beta| g_r is within BOUNDARY_ITER_TOL.
+    """Whether |d_alpha| g_l + |d_beta| g_r is within BOUNDARY_ITER_TOL: the
+    one exit test of step_imex's boundary loops.
 
     g_l and g_r are the largest magnitudes of the unit responses g_L and
     g_R.  Float rounding is monotone and symmetric, so this float sum is at
-    least every entry of the change d_alpha g_L + d_beta g_R as step_imex
-    forms it: when it accepts, the full-vector test accepts too.  A NaN or an
-    overflow anywhere makes it reject.  The u_e loop passes d_beta_e and
-    max |g_e| alone.
+    least every entry of the change d_alpha g_L + d_beta g_R formed in
+    floats: when it accepts, no node moved by more than the tolerance.  A NaN
+    or an overflow anywhere makes it reject.  The u_e loop passes d_beta_e
+    and max |g_e| alone.
     """
     return abs(d_alpha) * g_l + abs(d_beta) * g_r <= BOUNDARY_ITER_TOL
 
@@ -351,11 +346,10 @@ def step_imex(state: SimState) -> None:
     y = sys_.mass.matvec(data, out=state.rhs[:, 0])
     y[n_c - 1] += cfg.stimulus.value(t_next)
     x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, state.rhs)
-    # the largest |g_L|, |g_e| and |g_R| for the bound that certifies a
-    # loop's exit (g_L and g_R over the u and b rows, whose b entries are zero)
+    # the largest |g_L|, |g_e| and |g_R| for the loops' exit bound (g_L and
+    # g_R over the u and b rows, whose b entries are zero)
     np.abs(x[:, 1:], out=state.g_abs_columns)
     g_l_max, g_e_max, g_r_max = np.maximum.reduceat(state.g_abs, state.g_starts).tolist()
-    exact_tests = 0
 
     # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes the ER flux J
     # at (u_L, old u_e(L)) and the plasma flux F at u_R, and solves the 2x2
@@ -377,18 +371,11 @@ def step_imex(state: SimState) -> None:
             raise SingularMatrixError(f"singular cytosolic boundary system at t = {t_next}")
         new_alpha = (r_l * a22 - a12 * r_r) / det
         new_beta = (a11 * r_r - a21 * r_l) / det
-        new_l = y_ll + new_alpha * g_ll + new_beta * g_rl
-        new_r = y_rr + new_alpha * g_lr + new_beta * g_rr
-        if max(abs(new_l - ul), abs(new_r - ur)) <= BOUNDARY_ITER_TOL:
-            if alpha is not None and change_within_tol(
-                    new_alpha - alpha, g_l_max, new_beta - beta, g_r_max):
-                break
-            exact_tests += 1
-            change = y_u + new_alpha * g_l + new_beta * g_r - w[:n_c] if alpha is None else (
-                (new_alpha - alpha) * g_l + (new_beta - beta) * g_r)
-            if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
-                break
-        alpha, beta, ul, ur = new_alpha, new_beta, new_l, new_r
+        if alpha is not None and change_within_tol(
+                new_alpha - alpha, g_l_max, new_beta - beta, g_r_max):
+            break
+        alpha, beta = new_alpha, new_beta
+        ul, ur = y_ll + alpha * g_ll + beta * g_rl, y_rr + alpha * g_lr + beta * g_rr
     else:
         raise SolverDivergenceError(
             f"outer-boundary iteration did not converge at t = {t_next}")
@@ -410,14 +397,8 @@ def step_imex(state: SimState) -> None:
         new_l = y_el + new_beta_e * g_el
         if new_l <= channel_flux.ER_CONCENTRATION_FLOOR:
             raise StateInvariantError(f"ER interface concentration collapsed: {new_l}")
-        if abs(new_l - uel) <= BOUNDARY_ITER_TOL:
-            if beta_e is not None and change_within_tol(new_beta_e - beta_e, g_e_max):
-                break
-            exact_tests += 1
-            change = y_e + new_beta_e * g_e - w[2 * n_c :] if beta_e is None else (
-                (new_beta_e - beta_e) * g_e)
-            if np.maximum.reduce(np.abs(change, out=change)) <= BOUNDARY_ITER_TOL:
-                break
+        if beta_e is not None and change_within_tol(new_beta_e - beta_e, g_e_max):
+            break
         beta_e, uel = new_beta_e, new_l
     else:
         raise SolverDivergenceError(f"ER-boundary iteration did not converge at t = {t_next}")
@@ -450,13 +431,10 @@ def step_imex(state: SimState) -> None:
     total, top = state.passes, state.max_passes
     total.outer += outer_passes
     total.er += er_passes
-    total.exact_tests += exact_tests
     if outer_passes > top.outer:
         top.outer = outer_passes
     if er_passes > top.er:
         top.er = er_passes
-    if exact_tests > top.exact_tests:
-        top.exact_tests = exact_tests
 
 
 def conserved_quantity(state: SimState) -> float:
