@@ -1,6 +1,6 @@
 """Manufactured-solution study: rates, monotonicity, the source term, the
-factored transient loop against one solve per step, and the step's shape:
-one banded product and one factored solve."""
+powered transient propagator against one solve per step and against an
+extended-precision stepped run, and its cost: one factored solve per mesh."""
 
 import math
 
@@ -91,18 +91,72 @@ def per_step_transient_error(num_elements):
 
 @pytest.mark.parametrize("num_elements", range(1, 13))
 def test_factored_transient_equals_per_step_solves(num_elements):
-    # n = 1 element is a 2-node system, below the size the gttrf wrapper takes
-    assert cv.transient_case_error(num_elements) == per_step_transient_error(num_elements)
+    # powering reorders the arithmetic of the steps, so the two runs agree to
+    # roundoff, not bit for bit; n = 1 element is a 2-node system, below the
+    # size the gttrf wrapper takes
+    assert cv.transient_case_error(num_elements) == pytest.approx(
+        per_step_transient_error(num_elements), rel=1e-12, abs=0.0
+    )
 
 
-@pytest.mark.parametrize("num_elements", [1, 2, 5])
-def test_transient_step_is_one_product_and_one_factored_solve(num_elements, monkeypatch):
-    calls = {"step product": 0, "setup product": 0, "solve": 0}
+def longdouble_transient_error(num_elements):
+    """The transient case stepped one backward-Euler step at a time in
+    np.longdouble, with F's factors from a Python Thomas sweep.
+
+    The float64 bands, profile and source define the discrete problem; every
+    operation after them is extended precision.  Where np.longdouble is
+    float64, this is only a float64 rerun of the stepped loop.
+    """
+    ld = np.longdouble
+    mesh = fem_core.build_mesh(0.0, cv.DOMAIN_LENGTH, num_elements)
+    mass = fem_core.assemble_mass(mesh).bands.astype(ld)
+    diffusion = cv.DEFAULT_DIFFUSIVITY * (
+        fem_core.assemble_stiffness(mesh).bands - fem_core.assemble_convection(mesh).bands
+    )
+    num_steps = num_elements * num_elements
+    dt = ld(cv.TRANSIENT_HORIZON) / num_steps
+    upper, diag, lower = (mass / dt + diffusion.astype(ld)).tolist()
+
+    def mass_times(v):
+        out = mass[1] * v
+        out[:-1] += mass[0, 1:] * v[1:]
+        out[1:] += mass[2, :-1] * v[:-1]
+        return out
+
+    n = mesh.num_nodes
+    multipliers, pivots = [ld(0)] * n, [diag[0]] * n
+    for i in range(1, n):
+        multipliers[i] = lower[i - 1] / pivots[i - 1]
+        pivots[i] = diag[i] - multipliers[i] * upper[i]
+    profile = cv.exact_steady(mesh.nodes).astype(ld)
+    mass_forcing = mass_times(cv.steady_source(mesh.nodes).astype(ld) - profile)
+    w = profile.copy()
+    for step in range(1, num_steps + 1):
+        rhs = (mass_times(w) / dt + np.exp(-step * dt) * mass_forcing).tolist()
+        for i in range(1, n):
+            rhs[i] -= multipliers[i] * rhs[i - 1]
+        rhs[-1] /= pivots[-1]
+        for i in range(n - 2, -1, -1):
+            rhs[i] = (rhs[i] - upper[i + 1] * rhs[i + 1]) / pivots[i]
+        w = np.array(rhs, dtype=ld)
+    err = w - np.exp(-ld(cv.TRANSIENT_HORIZON)) * profile
+    return float(np.sqrt(err @ mass_times(err)))
+
+
+def test_powered_transient_matches_an_extended_precision_stepped_run():
+    assert cv.transient_case_error(40) == pytest.approx(
+        longdouble_transient_error(40), rel=1e-10, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("num_elements", [5, 12])  # 25 and 144 steps, the same cost
+def test_transient_cost_is_one_factored_solve_per_mesh(num_elements, monkeypatch):
+    calls = {"accumulating product": 0, "plain product": 0, "solve": 0}
     product, solve = fem_core.banded_product, fem_core.TridiagonalFactor.solve
 
     def counted_product(matrix, x, alpha=1.0, beta=0.0, y=None, overwrite_y=False):
-        # a step adds e^{-t} M f; the setup products are plain ones
-        calls["step product" if beta else "setup product"] += 1
+        # a stepped run would add e^{-t} M f to each step's product
+        calls["accumulating product" if beta else "plain product"] += 1
         return product(matrix, x, alpha, beta, y, overwrite_y)
 
     def counted_solve(self, rhs):
@@ -112,6 +166,5 @@ def test_transient_step_is_one_product_and_one_factored_solve(num_elements, monk
     monkeypatch.setattr(fem_core, "banded_product", counted_product)
     monkeypatch.setattr(fem_core.TridiagonalFactor, "solve", counted_solve)
     cv.transient_case_error(num_elements)
-    steps = num_elements * num_elements
-    # beside the steps: M f once per mesh, and M e in the L2 norm
-    assert calls == {"step product": steps, "setup product": 2, "solve": steps}
+    # M f once per mesh, M e in the L2 norm, and the one solve that forms S
+    assert calls == {"accumulating product": 0, "plain product": 2, "solve": 1}
