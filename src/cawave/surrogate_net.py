@@ -3,22 +3,31 @@
 The network maps (P, u, du/dt) to an estimate of dP/dt through the fixed
 architecture 3 -> 200 -> 64 -> 16 -> 1 (ReLU hidden layers, linear output,
 14721 parameters).  Forward, backward, and the Adam optimizer are written
-directly against numpy so the arithmetic is fully specified: gradients are
-exact backpropagation with the ReLU subgradient taken as 0 at 0, and both
-initialization and minibatch order are driven by a seeded PCG64 generator so
-a training run is reproducible bit for bit.
+directly against numpy: gradients are exact backpropagation with the ReLU
+subgradient taken as 0 at 0, and both initialization and minibatch order are
+driven by a seeded PCG64 generator so a training run is reproducible bit for
+bit at a fixed BLAS thread count.
 
-All parameters live in one flat float64 vector, NetworkParams.theta, in the
-CWNN layer order (W0, b0, W1, b1, ...); the per-layer weights and biases are
+All parameters live in one flat vector, NetworkParams.theta, in the CWNN
+layer order (W0, b0, W1, b1, ...); the per-layer weights and biases are
 reshaped views into it.  Gradients use the same layout, so Adam is a handful
-of in-place vector operations on theta and its two moment vectors.  A
-training run allocates one batch's buffers once (a _Workspace): every
-minibatch and every block of the per-epoch validation pass is gathered from
-the corpus by index into them, and backward writes each layer's delta over
-that layer's activations.  Beyond the corpus, train holds only those
-buffers, the Adam moments and two int32 index arrays (the split and the
-epoch order, shuffled in place).  forward works through its input in blocks
-of FORWARD_BLOCK_ROWS rows, through one block's activation buffers.
+of in-place vector operations on theta and its two moment vectors.
+
+Training runs in mixed precision (Micikevicius et al., "Mixed Precision
+Training", ICLR 2018).  The corpus, the master theta, the Adam moments, the
+per-epoch validation loss and the saved weights are float64.  Each minibatch
+is gathered from the corpus by index into a float64 buffer and cast into a
+float32 one, theta is cast into a float32 copy, and forward and backward run
+in float32; the float32 gradient is cast back to float64 for Adam.  A
+training run allocates its buffers once: a float32 _Workspace for backward
+and a float64 one without masks or gradients, which gathers the minibatches
+and runs the validation pass; the float32 activations occupy the memory of
+the float64 ones.  backward writes each layer's delta over that
+layer's activations.  Beyond the corpus, train holds only those buffers, the
+two parameter-sized casts, the Adam moments and two int32 index arrays (the
+split and the epoch order, shuffled in place).  forward, loss and backward
+without a workspace run in float64; forward works through its input in
+blocks of FORWARD_BLOCK_ROWS rows, through one block's activation buffers.
 
 During a simulation the network advances the open probability explicitly,
 
@@ -76,7 +85,7 @@ class NetworkParams:
 
     @classmethod
     def _wrap(cls, theta: np.ndarray) -> "NetworkParams":
-        """Views into theta with no checks (gradient buffers)."""
+        """Views into theta with no checks (gradient buffers, float32 casts)."""
         params = cls.__new__(cls)
         params._bind(theta)
         return params
@@ -92,26 +101,37 @@ class NetworkParams:
             pos += fan_out
 
 
-def _activation_buffers(rows: int) -> list:
-    return [np.empty((rows, n)) for n in LAYER_SIZES[1:]]
+def _activation_buffers(rows: int, dtype=np.float64) -> list:
+    return [np.empty((rows, n), dtype) for n in LAYER_SIZES[1:]]
+
+
+def _float32_over(buffers: list) -> list:
+    """float32 arrays shaped like the given float64 buffers, each over the
+    first half of its buffer's memory."""
+    return [b.reshape(-1).view(np.float32)[: b.size].reshape(b.shape) for b in buffers]
 
 
 class _Workspace:
-    """Buffers for forward/backward over up to `rows` samples, allocated once.
+    """Buffers of one float dtype for forward/backward over up to `rows`
+    samples, allocated once.
 
     batch holds the sample rows gathered for a minibatch or a validation
     block, acts each layer's outputs, masks the hidden layers' ReLU masks and
-    grads one flat gradient.  A smaller block uses the first rows of each
-    buffer.  backward leaves each layer's delta in that layer's acts buffer
-    and overwrites the gradients; a loss over a workspace overwrites batch
-    and acts.
+    grads one flat gradient of the given dtype.  A workspace made with
+    gradients=False has no masks or grads and serves loss only; one given
+    acts uses those buffers instead of allocating its own.  A smaller
+    block uses the first rows of each buffer.  backward leaves each layer's
+    delta in that layer's acts buffer and overwrites the gradients; a loss
+    over a workspace overwrites batch and acts.  Arithmetic through a
+    workspace runs in its dtype when the parameters and the batch share it.
     """
 
-    def __init__(self, rows: int):
-        self.batch = np.empty((rows, 4))
-        self.acts = _activation_buffers(rows)
-        self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
-        self.grads = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
+    def __init__(self, rows: int, dtype=np.float64, gradients: bool = True, acts=None):
+        self.batch = np.empty((rows, 4), dtype)
+        self.acts = _activation_buffers(rows, dtype) if acts is None else acts
+        if gradients:
+            self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
+            self.grads = NetworkParams._wrap(np.empty(PARAMETER_COUNT, dtype))
 
 
 def init_network(seed: int = 0) -> NetworkParams:
@@ -180,7 +200,10 @@ def forward(params: NetworkParams, x: np.ndarray):
 
 
 def _check_batch(batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=float)
+    """batch as an array: float32 as given, any other dtype as float64."""
+    batch = np.asarray(batch)
+    if batch.dtype != np.float32:
+        batch = batch.astype(float, copy=False)
     if batch.ndim != 2 or batch.shape[1] != 4 or batch.shape[0] == 0:
         raise ValueError(f"batch must be (N, 4) with N >= 1, got {batch.shape}")
     return batch
@@ -198,7 +221,9 @@ def loss(params: NetworkParams, samples: np.ndarray, rows=None, workspace=None) 
     """
     samples = _check_batch(samples)
     n = samples.shape[0] if rows is None else rows.size
-    work = workspace if workspace is not None else _Workspace(min(n, FORWARD_BLOCK_ROWS))
+    work = workspace
+    if work is None:
+        work = _Workspace(min(n, FORWARD_BLOCK_ROWS), gradients=False)
     err = np.empty(n)
     for block, batch, pred in _forward_blocks(params, samples, work.acts, rows, work.batch):
         np.subtract(pred, batch[:, 3], out=err[block])
@@ -215,7 +240,12 @@ def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | N
     exactly 0 is taken as 0 (the unit stays off).  With a workspace of at
     least N rows, every intermediate and the gradients go into its buffers
     (and the returned grads are the workspace's); without one, they are
-    allocated for this call.  After the call the workspace's acts buffers
+    allocated for this call in the batch's dtype.  The dtype follows the
+    inputs and the workspace: a float32 batch, float32 params and a float32
+    workspace give float32 activations, deltas, gradients and loss
+    arithmetic (train's mixed-precision step); a batch of any other dtype is
+    converted to float64, so a float64 call without a workspace runs wholly
+    in float64.  After the call the workspace's acts buffers
     hold the deltas (d loss / d pre-activation of each layer), not the
     activations: each hidden layer's delta is written over its activations
     once its ReLU mask is taken.
@@ -335,15 +365,19 @@ def train(
     seed: int = 0,
     learning_rate: float = 1e-3,
 ):
-    """Minibatch Adam training; returns (params, LossHistory).
+    """Mixed-precision minibatch Adam training; returns (params, LossHistory).
 
-    The epoch training loss is the sample-weighted mean of minibatch losses
-    (each evaluated before its update); the validation loss is a full pass at
-    the end of the epoch over the held-out trailing split.  Training starts
-    from init_network(seed) and fresh Adam moments.  Neither split is ever
-    copied out of samples: each minibatch and each validation block is
-    gathered from samples by index into the one workspace's batch buffer.
-    The epoch order is one index buffer, refilled and shuffled in place.
+    Each minibatch's forward and backward pass runs in float32 on a float32
+    cast of the float64 parameters; its float32 gradient, cast to float64,
+    drives the float64 Adam step.  The epoch training loss is the
+    sample-weighted mean of minibatch losses (each evaluated in float32
+    before its update); the validation loss is a float64 pass at the end of
+    the epoch over the held-out trailing split.  Training starts from
+    init_network(seed) and fresh Adam moments.  Neither split is ever copied
+    out of samples: each minibatch and each validation block is gathered
+    from samples by index into one float64 batch buffer, and each minibatch
+    is then cast into the float32 workspace's.  The epoch order is one index
+    buffer, refilled and shuffled in place.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -359,7 +393,13 @@ def train(
 
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
     n_train = train_idx.size
-    work = _Workspace(min(batch_size, n_train))
+    rows = min(batch_size, n_train)
+    gather = _Workspace(rows, gradients=False)  # float64: minibatch rows, validation
+    # a minibatch's activations are dead once its gradient is taken, so the
+    # float32 ones live in the memory of the float64 validation activations
+    work = _Workspace(rows, np.float32, acts=_float32_over(gather.acts))
+    params32 = NetworkParams._wrap(np.empty(PARAMETER_COUNT, np.float32))
+    grads64 = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
     order = _index_range(n_train)
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
@@ -369,14 +409,17 @@ def train(
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
             idx = train_idx[order[start : start + batch_size]]
-            batch = samples.take(idx, axis=0, out=work.batch[: idx.size], mode="clip")
-            batch_loss, grads = backward(params, batch, work)
+            batch = work.batch[: idx.size]
+            batch[...] = samples.take(idx, axis=0, out=gather.batch[: idx.size], mode="clip")
+            np.copyto(params32.theta, params.theta)
+            batch_loss, grads = backward(params32, batch, work)
             if not np.isfinite(batch_loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
-            params, state = adam_step(params, grads, state)
+            np.copyto(grads64.theta, grads.theta)
+            params, state = adam_step(params, grads64, state)
             loss_sum += batch_loss * batch.shape[0]
         train_hist[epoch] = loss_sum / n_train
-        val_hist[epoch] = loss(params, samples, val_idx, work) if val_idx.size else np.nan
+        val_hist[epoch] = loss(params, samples, val_idx, gather) if val_idx.size else np.nan
     return params, LossHistory(train_hist, val_hist)
 
 
