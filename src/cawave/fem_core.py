@@ -22,17 +22,16 @@ vanishes at the origin.
 
 Mass and stiffness matrices are the familiar unweighted P1 element matrices;
 no r-weight appears in any inner product.  All matrices are tridiagonal and
-kept in LAPACK band storage (BandedMatrix).  A product alpha A x + beta y is
-one BLAS dgbmv call on that storage, banded_product, which
-BandedMatrix.matvec calls too.  Systems are solved by Gaussian elimination
-with partial pivoting, in one of two ways.  An operator that changes from
-call to call takes the one-shot solve, solve_tridiagonal (LAPACK gtsv).  A
-constant operator is factored once, TridiagonalFactor (gttrf), and each
-right-hand side then costs one gttrs call; both give the same bits.  The
-scipy wrappers of dgbmv and gttrf reject n < 3; below that both calls see
-the matrix widened by decoupled unit rows (_padded).  Functions return fresh
-arrays and never mutate their inputs; the one exception is banded_product,
-which writes into y when asked to, and through it BandedMatrix.matvec, which
+kept in LAPACK band storage (BandedMatrix).  The one product A x is
+BandedMatrix.matvec, one BLAS dgbmv call on that storage.  Systems are solved
+by Gaussian elimination with partial pivoting, in one of two ways.  An
+operator that changes from call to call takes the one-shot solve,
+solve_tridiagonal (LAPACK gtsv).  A constant operator is factored once,
+TridiagonalFactor (gttrf), and each right-hand side then costs one gttrs
+call; both give the same bits.  The scipy wrappers of dgbmv and gttrf reject
+n < 3, so matvec and TridiagonalFactor raise ValueError below that; the
+smallest system a run builds has 6 rows.  Functions return fresh arrays and
+never mutate their inputs; the one exception is BandedMatrix.matvec, which
 writes into the caller's out array when given one.
 """
 
@@ -108,9 +107,20 @@ class BandedMatrix:
         self.upper = bands[0, 1:]  # entry k sits at (k, k+1)
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A @ x by banded_product, written into out when one is given (it
-        must not overlap x)."""
-        return banded_product(self, x, y=out, overwrite_y=out is not None)
+        """A @ x in one BLAS dgbmv call, written into out when one is given
+        (it must not overlap x).
+
+        A block-diagonal matrix with zero seams multiplies bit for bit as its
+        blocks would one by one: the seam entries add exact zeros.
+        """
+        n = self.bands.shape[1]
+        if n < 3:
+            raise ValueError(f"dgbmv needs n >= 3, got {n}")
+        result = dgbmv(n, n, 1, 1, 1.0, self.bands, x, y=out, overwrite_y=out is not None)
+        if out is not None and result is not out:  # out was not contiguous
+            out[...] = result
+            return out
+        return result
 
     def to_dense(self) -> np.ndarray:
         n = self.bands.shape[1]
@@ -119,52 +129,6 @@ class BandedMatrix:
         dense[np.arange(n - 1), np.arange(1, n)] = self.upper
         dense[np.arange(1, n), np.arange(n - 1)] = self.lower
         return dense
-
-
-MIN_WRAPPED_SIZE = 3  # the scipy dgbmv and gttrf wrappers reject smaller matrices
-
-
-def _padded(bands: np.ndarray):
-    """bands widened to MIN_WRAPPED_SIZE columns by decoupled unit rows, and
-    the number of rows added (0 leaves bands as it is).
-
-    The added rows meet the matrix only at its zero padding entries, so by
-    the block-seam property they leave its products and solutions bit for
-    bit alone; vectors that go with the matrix take zeros on those rows.
-    """
-    pad = MIN_WRAPPED_SIZE - bands.shape[1]
-    if pad <= 0:
-        return bands, 0
-    unit = np.zeros((3, pad), order="F")
-    unit[1] = 1.0
-    return np.hstack((bands, unit)), pad
-
-
-def _zero_rows(v, pad: int) -> np.ndarray:
-    return np.concatenate((v, np.zeros((pad,) + np.shape(v)[1:])))
-
-
-def banded_product(matrix: BandedMatrix, x, alpha=1.0, beta=0.0, y=None, overwrite_y=False):
-    """alpha A x + beta y in one BLAS dgbmv call.
-
-    y is read only when beta is nonzero (None stands for zeros).  With
-    overwrite_y the result is written into y and y is returned; otherwise y
-    is left untouched and the result is a fresh array.  A block-diagonal
-    matrix with zero seams multiplies bit for bit as its blocks would one by
-    one: the seam entries add exact zeros.
-    """
-    bands = matrix.bands
-    n = bands.shape[1]
-    if n >= MIN_WRAPPED_SIZE:
-        result = dgbmv(n, n, 1, 1, alpha, bands, x, beta=beta, y=y, overwrite_y=overwrite_y)
-    else:  # the rows _padded adds take zeros
-        bands, pad = _padded(bands)
-        x, acc = _zero_rows(x, pad), None if y is None else _zero_rows(y, pad)
-        result = dgbmv(MIN_WRAPPED_SIZE, MIN_WRAPPED_SIZE, 1, 1, alpha, bands, x, beta=beta, y=acc)[:n]
-    if overwrite_y and result is not y:  # padded, or y was not contiguous
-        y[...] = result
-        return y
-    return result
 
 
 def _scatter(mesh: Mesh1D, b00, b01, b10, b11) -> BandedMatrix:
@@ -231,8 +195,6 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     bit for bit as the separate blocks would: a zero sub-diagonal entry
     never triggers a row swap and leaves nothing to eliminate.
     """
-    if len(diag) == 1:  # the gtsv wrapper wants off-diagonal bands of length >= 1
-        lower = upper = np.zeros(1)
     *_, x, info = dgtsv(lower, diag, upper, rhs)
     if info != 0:
         raise SingularMatrixError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
@@ -244,15 +206,13 @@ class TridiagonalFactor:
 
     One LAPACK gttrf call at construction, with the partial pivoting of
     solve_tridiagonal; solve then costs one gttrs call and returns the same
-    bits as solve_tridiagonal would.  A matrix below the wrapper's n >= 3 is
-    factored as _padded widens it, and its right-hand sides take zeros on the
-    added rows.
+    bits as solve_tridiagonal would.
     """
 
     def __init__(self, matrix: BandedMatrix):
-        self._n = matrix.bands.shape[1]
-        bands, self._pad = _padded(matrix.bands)
-        *self._factors, info = dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+        if matrix.bands.shape[1] < 3:
+            raise ValueError(f"gttrf needs n >= 3, got {matrix.bands.shape[1]}")
+        *self._factors, info = dgttrf(matrix.lower, matrix.diag, matrix.upper)
         if info != 0:
             raise SingularMatrixError(f"tridiagonal factorization failed: LAPACK gttrf info = {info}")
 
@@ -262,6 +222,4 @@ class TridiagonalFactor:
         gttrs reports only malformed arguments, which the wrapper rejects
         first, so its info is not read.
         """
-        if not self._pad:
-            return dgttrs(*self._factors, rhs)[0]
-        return dgttrs(*self._factors, _zero_rows(rhs, self._pad))[0][: self._n]
+        return dgttrs(*self._factors, rhs)[0]

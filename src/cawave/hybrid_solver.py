@@ -80,6 +80,7 @@ from .channel_flux import BufferParams, ErParams, PlasmaParams, er_exchange, pla
 from .errors import ConfigError, SingularMatrixError, SolverDivergenceError, StateInvariantError
 from .fem_core import BandedMatrix, Mesh1D, build_mesh, solve_tridiagonal
 from .ryr_markov import MarkovRates, MarkovState
+from .surrogate_net import SurrogateChannel
 
 UNDERSHOOT_TOL = 1e-8
 FIELD_NAMES = ("cytosolic calcium", "free buffer", "ER calcium")  # the blocks of w, in order
@@ -172,22 +173,6 @@ class MarkovChannel:
         return MarkovChannel(
             self.rates, ryr_markov.step_backward_euler(self.state, u_interface, dt, self.rates)
         )
-
-
-@dataclass(frozen=True)
-class SurrogateChannel:
-    """Gating by the trained network; du/dt is differenced against u_prev."""
-
-    params: surrogate_net.NetworkParams
-    probability: float
-    u_prev: float | None = None
-
-    def advance(self, u_interface: float, dt: float) -> "SurrogateChannel":
-        dudt = 0.0 if self.u_prev is None else (u_interface - self.u_prev) / dt
-        p_next = surrogate_net.predict_next_probability(
-            self.params, self.probability, u_interface, dudt, dt
-        )
-        return SurrogateChannel(self.params, p_next, u_interface)
 
 
 def initial_channel(cfg: SimConfig):

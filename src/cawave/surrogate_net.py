@@ -16,25 +16,25 @@ of in-place vector operations on theta and its two moment vectors.
 Training runs in mixed precision (Micikevicius et al., "Mixed Precision
 Training", ICLR 2018).  The corpus, the master theta, the Adam moments, the
 per-epoch validation loss and the saved weights are float64.  Each minibatch
-is gathered from the corpus by index into a float64 buffer and cast into a
-float32 one, theta is cast into a float32 copy, and forward and backward run
-in float32; the float32 gradient is cast back to float64 for Adam.  A
-training run allocates its buffers once: a float32 _Workspace for backward
-and a float64 one without masks or gradients, which gathers the minibatches
-and runs the validation pass; the float32 activations occupy the memory of
-the float64 ones.  backward writes each layer's delta over that
-layer's activations.  Beyond the corpus, train holds only those buffers, the
-two parameter-sized casts, the Adam moments and two int32 index arrays (the
-split and the epoch order, shuffled in place).  forward, loss and backward
-without a workspace run in float64; forward works through its input in
-blocks of FORWARD_BLOCK_ROWS rows, through one block's activation buffers.
+is gathered from the corpus by index straight into a float32 buffer (the
+take casts on write), theta is cast into a float32 copy, and forward and
+backward run in float32; the float32 gradient is cast back to float64 for
+Adam.  A training run allocates its buffers once: a float32 _Workspace for
+backward and a float64 one without masks or gradients for the validation
+pass; the float32 activations occupy the memory of the float64 ones.
+backward writes each layer's delta over that layer's activations.  Beyond
+the corpus, train holds only those buffers, the two parameter-sized casts,
+the Adam moments and two int32 index arrays (the split and the epoch order,
+shuffled in place).  forward, loss and backward without a workspace run in
+float64, in one pass over their rows.
 
 During a simulation the network advances the open probability explicitly,
 
     P_next = clip(P + dt * F(P, u, du/dt), 0, 1),
 
 with du/dt formed from the two most recent interface concentrations and taken
-as 0 on the first step.
+as 0 on the first step.  SurrogateChannel is that step's one implementation:
+a run's gating handle, and what rollout_probability steps along a signal.
 
 Weights travel in a small binary container (magic "CWNN", little-endian,
 CRC32 trailer); see save_weights / load_weights.
@@ -53,7 +53,6 @@ from .errors import CorruptFileError, ShapeMismatchError, StateInvariantError
 
 LAYER_SIZES = (3, 200, 64, 16, 1)
 PARAMETER_COUNT = 14721  # sum over layers of (fan_in + 1) * fan_out
-FORWARD_BLOCK_ROWS = 1024  # forward's row block
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator floor
 WEIGHTS_MAGIC = b"CWNN"
 WEIGHTS_VERSION = 1
@@ -127,7 +126,8 @@ class _Workspace:
     """
 
     def __init__(self, rows: int, dtype=np.float64, gradients: bool = True, acts=None):
-        self.batch = np.empty((rows, 4), dtype)
+        # zeros: a take that casts into batch first reads what it holds
+        self.batch = np.zeros((rows, 4), dtype)
         self.acts = _activation_buffers(rows, dtype) if acts is None else acts
         if gradients:
             self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
@@ -166,8 +166,9 @@ def _forward_blocks(params: NetworkParams, data: np.ndarray, acts: list, rows=No
 
     block is the slice of the rows the block covers and x its rows of data;
     listed rows are gathered into the batch buffer.  outputs are the network's
-    for x[:, :3], a view into acts[-1].  Rows are independent, so the block
-    size changes no bit of any output.
+    for x[:, :3], a view into acts[-1].  A row's output can differ in its last
+    bits with the number of rows it runs with (BLAS picks its kernel by the
+    shapes; one row takes gemv), so the block size is part of the arithmetic.
     """
     n = data.shape[0] if rows is None else rows.size
     size = acts[0].shape[0]
@@ -181,21 +182,14 @@ def _forward_blocks(params: NetworkParams, data: np.ndarray, acts: list, rows=No
 
 
 def forward(params: NetworkParams, x: np.ndarray):
-    """Network output for a single input (3,) or a batch (N, 3).
-
-    Rows are evaluated in blocks of FORWARD_BLOCK_ROWS, through one set of
-    activation buffers of min(N, FORWARD_BLOCK_ROWS) rows, into one output
-    vector; a single input is a one-row batch.
-    """
+    """Network output for a single input (3,) or a batch (N, 3), in one pass;
+    a single input is a one-row batch."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
-    out = np.empty(a.shape[0])
-    acts = _activation_buffers(min(a.shape[0], FORWARD_BLOCK_ROWS))
-    for block, _, pred in _forward_blocks(params, a, acts):
-        out[block] = pred
+    out = _forward_pass(params, a, _activation_buffers(a.shape[0]))
     return float(out[0]) if single else out
 
 
@@ -215,15 +209,12 @@ def loss(params: NetworkParams, samples: np.ndarray, rows=None, workspace=None) 
 
     The rows run through the workspace's buffers a block at a time (listed
     rows are gathered into its batch buffer, so none is copied out of
-    samples); without a workspace, one of min(N, FORWARD_BLOCK_ROWS) rows is
-    made for this call.  The errors fill one vector, squared in place, whose
-    mean is one pairwise sum.
+    samples); without a workspace, one of N rows is made for this call.  The
+    errors fill one vector, squared in place, whose mean is one pairwise sum.
     """
     samples = _check_batch(samples)
     n = samples.shape[0] if rows is None else rows.size
-    work = workspace
-    if work is None:
-        work = _Workspace(min(n, FORWARD_BLOCK_ROWS), gradients=False)
+    work = workspace if workspace is not None else _Workspace(n, gradients=False)
     err = np.empty(n)
     for block, batch, pred in _forward_blocks(params, samples, work.acts, rows, work.batch):
         np.subtract(pred, batch[:, 3], out=err[block])
@@ -374,9 +365,9 @@ def train(
     before its update); the validation loss is a float64 pass at the end of
     the epoch over the held-out trailing split.  Training starts from
     init_network(seed) and fresh Adam moments.  Neither split is ever copied
-    out of samples: each minibatch and each validation block is gathered
-    from samples by index into one float64 batch buffer, and each minibatch
-    is then cast into the float32 workspace's.  The epoch order is one index
+    out of samples: each minibatch is gathered from samples by index into the
+    float32 workspace's batch buffer, cast as it is written, and each
+    validation block into the float64 one's.  The epoch order is one index
     buffer, refilled and shuffled in place.
     """
     samples = np.asarray(samples, dtype=float)
@@ -394,10 +385,10 @@ def train(
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
     n_train = train_idx.size
     rows = min(batch_size, n_train)
-    gather = _Workspace(rows, gradients=False)  # float64: minibatch rows, validation
+    validation = _Workspace(rows, gradients=False)  # float64
     # a minibatch's activations are dead once its gradient is taken, so the
     # float32 ones live in the memory of the float64 validation activations
-    work = _Workspace(rows, np.float32, acts=_float32_over(gather.acts))
+    work = _Workspace(rows, np.float32, acts=_float32_over(validation.acts))
     params32 = NetworkParams._wrap(np.empty(PARAMETER_COUNT, np.float32))
     grads64 = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
     order = _index_range(n_train)
@@ -409,8 +400,7 @@ def train(
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
             idx = train_idx[order[start : start + batch_size]]
-            batch = work.batch[: idx.size]
-            batch[...] = samples.take(idx, axis=0, out=gather.batch[: idx.size], mode="clip")
+            batch = samples.take(idx, axis=0, out=work.batch[: idx.size], mode="clip")
             np.copyto(params32.theta, params.theta)
             batch_loss, grads = backward(params32, batch, work)
             if not np.isfinite(batch_loss):
@@ -419,7 +409,7 @@ def train(
             params, state = adam_step(params, grads64, state)
             loss_sum += batch_loss * batch.shape[0]
         train_hist[epoch] = loss_sum / n_train
-        val_hist[epoch] = loss(params, samples, val_idx, gather) if val_idx.size else np.nan
+        val_hist[epoch] = loss(params, samples, val_idx, validation) if val_idx.size else np.nan
     return params, LossHistory(train_hist, val_hist)
 
 
@@ -440,16 +430,36 @@ def predict_next_probability(
     return min(max(p_prev + dt * rate, 0.0), 1.0)
 
 
+@dataclass(frozen=True)
+class SurrogateChannel:
+    """Gating by the trained network; du/dt is differenced against u_prev.
+
+    advance pairs the interface concentration it is given with its backward
+    difference from the previous one, taken as 0 on the first step.
+    """
+
+    params: NetworkParams
+    probability: float
+    u_prev: float | None = None
+
+    def advance(self, u_interface: float, dt: float) -> "SurrogateChannel":
+        dudt = 0.0 if self.u_prev is None else (u_interface - self.u_prev) / dt
+        p_next = predict_next_probability(self.params, self.probability, u_interface, dudt, dt)
+        return SurrogateChannel(self.params, p_next, u_interface)
+
+
 def rollout_probability(
     params: NetworkParams, u_series: np.ndarray, dt: float, p0: float = 0.0
 ) -> np.ndarray:
-    """Advance P along a sampled signal; du/dt is the lagged backward difference."""
+    """Advance P along a sampled signal: p[n] is a SurrogateChannel's step
+    from p[n-1] on u[n-1], with the lagged backward difference."""
     u_series = np.asarray(u_series, dtype=float)
     p = np.empty(u_series.shape[0])
     p[0] = p0
+    channel = SurrogateChannel(params, p0)
     for n in range(1, u_series.shape[0]):
-        dudt = 0.0 if n == 1 else (u_series[n - 1] - u_series[n - 2]) / dt
-        p[n] = predict_next_probability(params, p[n - 1], u_series[n - 1], dudt, dt)
+        channel = channel.advance(u_series[n - 1], dt)
+        p[n] = channel.probability
     return p
 
 

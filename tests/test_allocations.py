@@ -12,7 +12,10 @@ Every corpus byte should be held once from generation to minibatch.  On the
 * train allocates less than 5 MiB beyond the corpus it is given, and no
   more for three epochs than for one: every minibatch and validation block
   is gathered from the corpus by index into one batch's buffers, its index
-  arrays are int32, and the epoch order is shuffled in place;
+  arrays are int32, and the epoch order is shuffled in place.  The two
+  epoch counts are traced in a fresh interpreter: between them, train's
+  peaks can differ by some 40 bytes of CPython list, tuple and frame
+  objects, depending on the free-list state that earlier tests leave;
 * backward on a float32 batch through a float32 workspace allocates less
   than 48 KiB (36.5 KiB measured on a 640-row batch): the batch is not
   upcast, which would add a 20 KiB float64 batch and a 1 MiB float64
@@ -22,6 +25,8 @@ tracemalloc counts only what is allocated while it runs, numpy's array data
 included, so each peak excludes the arguments handed in.
 """
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -78,11 +83,29 @@ def test_training_epoch_does_not_copy_the_corpus(corpus):
     assert peak < 5 * MIB, peak / MIB
 
 
-def test_training_peak_does_not_grow_with_epochs(corpus):
+# train's peak for 1 and then 3 epochs on the corpus file argv[1], one a line
+TRAIN_PEAKS = f"""
+import sys
+import tracemalloc
+import numpy.random  # numpy loads it on first use; untraced, not 0.75 MiB of the first peak
+from cawave import datasets, surrogate_net
+corpus = datasets.load_samples(sys.argv[1])
+for epochs in (1, 3):
+    tracemalloc.start()
+    surrogate_net.train(corpus, epochs=epochs, seed={SEED})
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
+
+
+def test_training_peak_does_not_grow_with_epochs(corpus_file):
     # the one-epoch run goes first, so any first-call allocation counts
     # against it; only the two (epochs,) loss histories may grow
-    _, one = traced_peak(sn.train, corpus, epochs=1, seed=SEED)
-    _, three = traced_peak(sn.train, corpus, epochs=3, seed=SEED)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRAIN_PEAKS, str(corpus_file)],
+        capture_output=True, text=True, check=True,
+    )
+    one, three = map(int, proc.stdout.split())
     assert three <= one + 2 * 8 * (3 - 1), (one, three)
 
 

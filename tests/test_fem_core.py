@@ -13,9 +13,10 @@ block-diagonal system with zero seam entries must solve bit for bit as its
 blocks solved one by one.  The factored solve (gttrf once, gttrs per
 right-hand side) must give the one-shot solve's bits, reject the same
 singular systems when it factors, and leave its inputs untouched.  The
-banded product (BLAS dgbmv) must match the dense alpha A x + beta y to a few
-ulps of |alpha| |A| |x| + |beta| |y|, and a block-diagonal product with zero
-seams must give each block's standalone bits.
+banded product A x (BandedMatrix.matvec, BLAS dgbmv) must match the dense one
+to a few ulps of |A| |x|, and a block-diagonal product with zero seams must
+give each block's standalone bits.  The product and the factored solve take
+n >= 3 and raise ValueError below that.
 The finite-part entries give the ER operator K - A one negative mode,
 pinned to the origin: its eigenvalue scales like 1/h^2 and its eigenvector
 lives on the first three nodes.  The cytosolic operator has none.
@@ -321,7 +322,8 @@ def test_solve_banded_against_dense():
         rhs = rng.uniform(-2, 2, n)
         x = fem_core.solve_tridiagonal(lower, diag, upper, rhs)
         assert_allclose(x, np.linalg.solve(mat.to_dense(), rhs), rtol=1e-12, atol=1e-14)
-        assert_allclose(mat.matvec(x), rhs, rtol=1e-11, atol=1e-13)
+        if n >= 3:  # the product takes n >= 3
+            assert_allclose(mat.matvec(x), rhs, rtol=1e-11, atol=1e-13)
 
 
 def test_solver_pivot_fallback():
@@ -351,6 +353,15 @@ def test_matvec_matches_dense():
         assert out.tobytes() == mat.matvec(x).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_product_and_factor_reject_fewer_than_three_rows(n):
+    mat = fem_core.BandedMatrix(stack_bands(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)))
+    with pytest.raises(ValueError, match="n >= 3"):
+        mat.matvec(np.ones(n))
+    with pytest.raises(ValueError, match="n >= 3"):
+        fem_core.TridiagonalFactor(mat)
+
+
 # entries of either sign, bounded away from zero so that few draws are singular
 ENTRIES = st.floats(-10.0, -0.01) | st.floats(0.01, 10.0)
 
@@ -361,46 +372,48 @@ def _bands(n):
     return st.tuples(off, full, off, full)
 
 
-TRIDIAGONAL_SYSTEMS = st.integers(1, 40).flatmap(_bands)
+TRIDIAGONAL_SYSTEMS = st.integers(2, 40).flatmap(_bands)  # gtsv takes n >= 2
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
-PRODUCTS = st.integers(1, 40).flatmap(
-    lambda n: st.tuples(_bands(n), arrays(np.float64, n, elements=ENTRIES, fill=st.nothing()))
-)
-COEFFICIENTS = st.sampled_from([1.0, -1.0]) | ENTRIES
-
-
 @PROPERTY_SETTINGS
-@given(product=PRODUCTS, alpha=COEFFICIENTS, beta=st.just(0.0) | COEFFICIENTS)
-def test_banded_product_matches_dense(product, alpha, beta):
-    (lower, diag, upper, x), y = product
+@given(product=st.integers(3, 40).flatmap(_bands))
+def test_banded_product_matches_dense(product):
+    lower, diag, upper, x = product
     mat = fem_core.BandedMatrix(stack_bands(lower, diag, upper))
     dense = mat.to_dense()
-    before = y.copy()
-    result = fem_core.banded_product(mat, x, alpha, beta, y)
-    assert y.tobytes() == before.tobytes()
+    before = x.copy()
+    result = mat.matvec(x)
+    assert x.tobytes() == before.tobytes()
     # each side rounds a handful of times on terms bounded by this sum
-    scale = abs(alpha) * (np.abs(dense) @ np.abs(x)) + abs(beta) * np.abs(y)
-    assert np.all(np.abs(result - (alpha * (dense @ x) + beta * y)) <= 8 * np.finfo(float).eps * scale)
-    out = y.copy()
-    assert fem_core.banded_product(mat, x, alpha, beta, out, overwrite_y=True) is out
+    assert np.all(np.abs(result - dense @ x) <= 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x)))
+    out = np.full_like(x, np.nan)
+    assert mat.matvec(x, out=out) is out
     assert out.tobytes() == result.tobytes()
 
 
+def _product(mat, x):
+    """mat @ x, with a matrix below 3 rows widened by decoupled unit rows
+    whose entries of x are zero: the seam entries keep them apart, so they
+    change no bit of the block's rows."""
+    n = x.size
+    if n >= 3:
+        return mat.matvec(x)
+    unit = np.zeros((3, 3 - n))
+    unit[1] = 1.0
+    padded = fem_core.BandedMatrix(np.hstack((mat.bands, unit)))
+    return padded.matvec(np.concatenate((x, np.zeros(3 - n))))[:n]
+
+
 @PROPERTY_SETTINGS
-@given(
-    blocks=st.lists(PRODUCTS, min_size=1, max_size=3),
-    alpha=COEFFICIENTS,
-    beta=st.just(0.0) | COEFFICIENTS,
-)
-def test_block_diagonal_product_equals_separate_products(blocks, alpha, beta):
-    mats = [fem_core.BandedMatrix(stack_bands(*system[:3])) for system, _ in blocks]
-    xs = [system[3] for system, _ in blocks]
-    ys = [y for _, y in blocks]
+@given(blocks=st.lists(TRIDIAGONAL_SYSTEMS, min_size=1, max_size=3))
+def test_block_diagonal_product_equals_separate_products(blocks):
+    # 2-node blocks stay in the draw: a one-element run stacks three of them
+    mats = [fem_core.BandedMatrix(stack_bands(*system[:3])) for system in blocks]
+    xs = [system[3] for system in blocks]
     stacked = fem_core.BandedMatrix(np.hstack([mat.bands for mat in mats]))
-    whole = fem_core.banded_product(stacked, np.concatenate(xs), alpha, beta, np.concatenate(ys))
-    parts = [fem_core.banded_product(mat, x, alpha, beta, y) for mat, x, y in zip(mats, xs, ys)]
+    whole = _product(stacked, np.concatenate(xs))
+    parts = [_product(mat, x) for mat, x in zip(mats, xs)]
     assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
@@ -458,7 +471,7 @@ def test_block_diagonal_solve_equals_separate_solves(blocks, zero_lead, extra):
 
 @PROPERTY_SETTINGS
 @given(
-    system=st.integers(1, 3).flatmap(_bands) | TRIDIAGONAL_SYSTEMS,
+    system=st.integers(3, 40).flatmap(_bands),  # gttrf takes n >= 3
     lead=st.sampled_from([None, 0.0, 1e-300, -1e-17]),
     extra=st.sampled_from([None, 0, 2]),  # 1-D, or k = 1 or 3 columns
 )
@@ -500,5 +513,6 @@ def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
         after[k] = 0.0
     with pytest.raises(SingularMatrixError):
         fem_core.solve_tridiagonal(lower, diag, upper, rhs)
-    with pytest.raises(SingularMatrixError, match="gttrf"):  # the factored solve, when it factors
-        fem_core.TridiagonalFactor(fem_core.BandedMatrix(stack_bands(lower, diag, upper)))
+    if n >= 3:  # the factored solve, when it factors (gttrf takes n >= 3)
+        with pytest.raises(SingularMatrixError, match="gttrf"):
+            fem_core.TridiagonalFactor(fem_core.BandedMatrix(stack_bands(lower, diag, upper)))

@@ -305,13 +305,12 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed):
 def test_training_matches_list_based_reference_bit_for_bit():
     # 1800 training rows in batches of 256 leave a partial batch of 8, and
     # the 1200 validation rows run through the 256-row workspace in five
-    # blocks, the last one partial (and would span two of forward's blocks)
+    # blocks, the last one partial
     rng = np.random.default_rng(14)
     x = np.column_stack(
         [rng.uniform(0, 1, 3000), rng.uniform(0, 10, 3000), rng.uniform(-40, 40, 3000)]
     )
     samples = np.column_stack([x, 0.05 * x[:, 1] - 0.01 * x[:, 2] + 0.1 * np.sin(6 * x[:, 0])])
-    assert 1200 > sn.FORWARD_BLOCK_ROWS
     params, hist = sn.train(samples, epochs=3, batch_size=256, validation_fraction=0.4, seed=6)
     assert params.theta.dtype == np.float64
     layers, train_hist, val_hist = reference_train(samples, 3, 256, 0.4, 6)
@@ -342,12 +341,19 @@ def test_in_place_index_shuffles_draw_what_permutation_draws(n, fraction, seed):
 
 
 def test_forward_blocks_equal_per_block_results():
+    # loss runs its rows through a workspace a block at a time; each block
+    # gives the bits of forward on that block's rows, in the order listed
     params = sn.init_network(seed=16)
-    block = sn.FORWARD_BLOCK_ROWS
-    xs = np.random.default_rng(16).uniform(-2, 2, (2 * block + 37, 3))
-    whole = sn.forward(params, xs)
-    parts = [sn.forward(params, xs[i : i + block]) for i in range(0, xs.shape[0], block)]
-    assert np.array_equal(whole, np.concatenate(parts))
+    block = 256
+    samples = np.random.default_rng(16).uniform(-2, 2, (2 * block + 37, 4))
+    work = sn._Workspace(block, gradients=False)
+    for rows in (None, np.arange(samples.shape[0])[::-1].copy()):
+        listed = samples if rows is None else samples[rows]
+        parts = [sn.forward(params, listed[i : i + block, :3]) for i in range(0, listed.shape[0], block)]
+        blocks = [pred.copy() for _, _, pred in sn._forward_blocks(params, samples, work.acts, rows, work.batch)]
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(parts))
+        err = np.concatenate(parts) - listed[:, 3]
+        assert sn.loss(params, samples, rows, work) == float(np.mean(err * err))
 
 
 def test_parameter_views_share_one_vector():
