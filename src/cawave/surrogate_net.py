@@ -8,25 +8,30 @@ subgradient taken as 0 at 0, and both initialization and minibatch order are
 driven by a seeded PCG64 generator so a training run is reproducible bit for
 bit at a fixed BLAS thread count.
 
-All parameters live in one flat vector, NetworkParams.theta, in the CWNN
-layer order (W0, b0, W1, b1, ...); the per-layer weights and biases are
-reshaped views into it.  Gradients use the same layout, so Adam is a handful
-of in-place vector operations on theta and its two moment vectors.
+All parameters live in one flat vector, NetworkParams.theta; the per-layer
+weights and biases are views into it.  Layer 0 comes first as the 4 x 200
+matrix [W0^T; b0], and every path feeds it the augmented input [P, u, du/dt,
+1] from a buffer of its own, so its pre-activation and bias are one product
+and its weight and bias gradient another.  W1, b1, ... follow in the CWNN
+order; those layers add their biases, and their bias gradients are products
+ones^T delta.  Gradients use the same layout, so Adam (in Kingma and Ba's
+efficient form) is a handful of in-place vector operations on theta, its two
+moment vectors and one scratch vector.
 
 Training runs in mixed precision (Micikevicius et al., "Mixed Precision
 Training", ICLR 2018).  The corpus, the master theta, the Adam moments, the
 per-epoch validation loss and the saved weights are float64.  Each minibatch
-is gathered from the corpus by index straight into a float32 buffer (the
-take casts on write), theta is cast into a float32 copy, and forward and
-backward run in float32; the float32 gradient is cast back to float64 for
-Adam.  A training run allocates its buffers once: a float32 _Workspace for
-backward and a float64 one without masks or gradients for the validation
-pass; the float32 activations occupy the memory of the float64 ones.
+is gathered from the corpus by index into a float64 buffer and cast into a
+float32 one, theta is cast into a float32 copy, and forward and backward run
+in float32; the float32 gradient is cast back to float64 for Adam.  A
+training run allocates its buffers once: a float32 _Workspace for backward
+and a float64 one without masks or gradients for the validation pass and
+the gather; the float32 activations occupy the memory of the float64 ones.
 backward writes each layer's delta over that layer's activations.  Beyond
 the corpus, train holds only those buffers, the two parameter-sized casts,
-the Adam moments and two int32 index arrays (the split and the epoch order,
-shuffled in place).  forward, loss and backward without a workspace run in
-float64, in one pass over their rows.
+the Adam moments and scratch and one int32 index array (the split, whose
+training part each epoch shuffles in place).  forward, loss and backward
+without a workspace run in float64, in one pass over their rows.
 
 During a simulation the network advances the open probability explicitly,
 
@@ -62,9 +67,12 @@ class NetworkParams:
     """Weight matrices (fan_out, fan_in) and bias vectors per layer.
 
     theta is the one flat parameter vector; weights[i] and biases[i] are views
-    into it, so an in-place edit of either shows in the other.  The
-    constructor copies the given arrays into a new vector and checks their
-    shapes and finiteness.
+    into it, so an in-place edit of either shows in the other.  Its first 800
+    entries are layer0, the 4 x 200 matrix [W0^T; b0], so that layer 0 of an
+    augmented input [x, 1] is the one product [x, 1] . layer0; weights[0] is
+    the transposed view layer0[:3].T and biases[0] is layer0[3].  W1, b1, W2,
+    b2, W3, b3 follow in the CWNN order.  The constructor copies the given
+    arrays into a new vector and checks their shapes and finiteness.
     """
 
     def __init__(self, weights, biases):
@@ -91,9 +99,10 @@ class NetworkParams:
 
     def _bind(self, theta: np.ndarray) -> None:
         self.theta = theta
-        self.weights, self.biases = [], []
-        pos = 0
-        for fan_out, fan_in in zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]):
+        pos = (LAYER_SIZES[0] + 1) * LAYER_SIZES[1]
+        self.layer0 = theta[:pos].reshape(LAYER_SIZES[0] + 1, LAYER_SIZES[1])
+        self.weights, self.biases = [self.layer0[:-1].T], [self.layer0[-1]]
+        for fan_out, fan_in in zip(LAYER_SIZES[2:], LAYER_SIZES[1:-1]):
             self.weights.append(theta[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
             pos += fan_out * fan_in
             self.biases.append(theta[pos : pos + fan_out])
@@ -115,21 +124,27 @@ class _Workspace:
     samples, allocated once.
 
     batch holds the sample rows gathered for a minibatch or a validation
-    block, acts each layer's outputs, masks the hidden layers' ReLU masks and
-    grads one flat gradient of the given dtype.  A workspace made with
-    gradients=False has no masks or grads and serves loss only; one given
-    acts uses those buffers instead of allocating its own.  A smaller
-    block uses the first rows of each buffer.  backward leaves each layer's
-    delta in that layer's acts buffer and overwrites the gradients; a loss
-    over a workspace overwrites batch and acts.  Arithmetic through a
+    block and index their row numbers, inputs layer 0's augmented input
+    [x, 1] (its last column is ones and is never written), acts each layer's
+    outputs, ones the vector whose products with the deltas are the bias
+    gradients, masks the hidden layers' ReLU masks and grads one flat
+    gradient of the given dtype.  A workspace made with gradients=False has
+    no ones, masks or grads and serves loss and the gather only; one given
+    acts uses those buffers instead of allocating its own.  A smaller block
+    uses the first rows of each buffer.  backward leaves each layer's delta
+    in that layer's acts buffer and overwrites the gradients; a loss over a
+    workspace overwrites index, batch, inputs and acts.  Arithmetic through a
     workspace runs in its dtype when the parameters and the batch share it.
     """
 
     def __init__(self, rows: int, dtype=np.float64, gradients: bool = True, acts=None):
+        self.index = np.empty(rows, np.intp)
         # zeros: a take that casts into batch first reads what it holds
         self.batch = np.zeros((rows, 4), dtype)
+        self.inputs = np.ones((rows, LAYER_SIZES[0] + 1), dtype)
         self.acts = _activation_buffers(rows, dtype) if acts is None else acts
         if gradients:
+            self.ones = np.ones(rows, dtype)
             self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
             self.grads = NetworkParams._wrap(np.empty(PARAMETER_COUNT, dtype))
 
@@ -145,24 +160,48 @@ def init_network(seed: int = 0) -> NetworkParams:
     return NetworkParams(weights, biases)
 
 
-def _forward_pass(params: NetworkParams, x: np.ndarray, acts: list) -> np.ndarray:
-    """Forward pass of x (n, 3) through the first n rows of the acts buffers;
-    returns the outputs (n,), a view into acts[-1]."""
-    n = x.shape[0]
-    a = x
-    last = len(params.weights) - 1
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(a, w.T, out=acts[layer][:n])
-        z += b
-        if layer < last:
-            np.maximum(z, 0.0, out=z)
-        a = z
+def _augmented(x: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The first n rows of inputs, holding [x[:, :3], 1] for x (n, >= 3);
+    x is only read."""
+    rows = inputs[: x.shape[0]]
+    rows[:, :-1] = x[:, : LAYER_SIZES[0]]
+    return rows
+
+
+def _forward_pass(params: NetworkParams, inputs: np.ndarray, acts: list) -> np.ndarray:
+    """Forward pass of augmented inputs [x, 1] (n, 4) through the first n rows
+    of the acts buffers; returns the outputs (n,), a view into acts[-1].
+    Layer 0 and its bias are one product; layers 1-3 add their biases."""
+    n = inputs.shape[0]
+    a = np.matmul(inputs, params.layer0, out=acts[0][:n])
+    for w, b, z in zip(params.weights[1:], params.biases[1:], acts[1:]):
+        np.maximum(a, 0.0, out=a)
+        a = np.matmul(a, w.T, out=z[:n])
+        a += b
     return a[:, 0]
 
 
-def _forward_blocks(params: NetworkParams, data: np.ndarray, acts: list, rows=None, batch=None):
+def _gather(data: np.ndarray, rows: np.ndarray, work: _Workspace, cast=None) -> np.ndarray:
+    """data[rows] in the first rows of work.batch, or of cast.batch when a
+    second workspace is given; returns those rows.
+
+    Nothing is allocated: the row numbers are copied into work.index first (a
+    take converts other index types in a temporary), and rows are cast only
+    after the gather (a take that casts as it writes makes a temporary of
+    the block).
+    """
+    index = work.index[: rows.size]
+    np.copyto(index, rows)
+    block = data.take(index, axis=0, out=work.batch[: rows.size], mode="clip")
+    if cast is None:
+        return block
+    np.copyto(cast.batch[: rows.size], block)
+    return cast.batch[: rows.size]
+
+
+def _forward_blocks(params: NetworkParams, data: np.ndarray, work: _Workspace, rows=None):
     """Yield (block, x, outputs) over the rows of data, or those listed in
-    rows, as many at a time as the acts buffers hold.
+    rows, as many at a time as the workspace holds.
 
     block is the slice of the rows the block covers and x its rows of data;
     listed rows are gathered into the batch buffer.  outputs are the network's
@@ -171,14 +210,11 @@ def _forward_blocks(params: NetworkParams, data: np.ndarray, acts: list, rows=No
     shapes; one row takes gemv), so the block size is part of the arithmetic.
     """
     n = data.shape[0] if rows is None else rows.size
-    size = acts[0].shape[0]
+    size = work.acts[0].shape[0]
     for start in range(0, n, max(size, 1)):  # buffers of 0 rows only for 0 rows
         block = slice(start, min(start + size, n))
-        if rows is None:
-            x = data[block]
-        else:
-            x = data.take(rows[block], axis=0, out=batch[: block.stop - start], mode="clip")
-        yield block, x, _forward_pass(params, x[:, :3], acts)
+        x = data[block] if rows is None else _gather(data, rows[block], work)
+        yield block, x, _forward_pass(params, _augmented(x, work.inputs), work.acts)
 
 
 def forward(params: NetworkParams, x: np.ndarray):
@@ -189,7 +225,8 @@ def forward(params: NetworkParams, x: np.ndarray):
     a = x[None, :] if single else x
     if a.shape[1] != 3:
         raise ValueError(f"inputs must have 3 features, got shape {x.shape}")
-    out = _forward_pass(params, a, _activation_buffers(a.shape[0]))
+    inputs = _augmented(a, np.ones((a.shape[0], 4)))
+    out = _forward_pass(params, inputs, _activation_buffers(a.shape[0]))
     return float(out[0]) if single else out
 
 
@@ -216,7 +253,7 @@ def loss(params: NetworkParams, samples: np.ndarray, rows=None, workspace=None) 
     n = samples.shape[0] if rows is None else rows.size
     work = workspace if workspace is not None else _Workspace(n, gradients=False)
     err = np.empty(n)
-    for block, batch, pred in _forward_blocks(params, samples, work.acts, rows, work.batch):
+    for block, batch, pred in _forward_blocks(params, samples, work, rows):
         np.subtract(pred, batch[:, 3], out=err[block])
     np.multiply(err, err, out=err)
     return float(np.mean(err))
@@ -228,96 +265,100 @@ def backward(params: NetworkParams, batch: np.ndarray, workspace: _Workspace | N
     Returns (loss, grads): grads is a NetworkParams-shaped view of one flat
     gradient vector, grads.theta, laid out like params.theta; the loss is the
     value loss() gives, from the same forward pass.  The ReLU subgradient at
-    exactly 0 is taken as 0 (the unit stays off).  With a workspace of at
-    least N rows, every intermediate and the gradients go into its buffers
-    (and the returned grads are the workspace's); without one, they are
-    allocated for this call in the batch's dtype.  The dtype follows the
-    inputs and the workspace: a float32 batch, float32 params and a float32
-    workspace give float32 activations, deltas, gradients and loss
-    arithmetic (train's mixed-precision step); a batch of any other dtype is
-    converted to float64, so a float64 call without a workspace runs wholly
-    in float64.  After the call the workspace's acts buffers
-    hold the deltas (d loss / d pre-activation of each layer), not the
-    activations: each hidden layer's delta is written over its activations
-    once its ReLU mask is taken.
+    exactly 0 is taken as 0 (the unit stays off).  Layer 0's weight and bias
+    gradient is the one product [x, 1]^T delta0, written into grads.layer0;
+    the other layers' bias gradients are ones^T delta.  The batch is only
+    read: its inputs are copied into the workspace's augmented input buffer.
+    With a workspace of at least N rows, every intermediate and the gradients
+    go into its buffers (and the returned grads are the workspace's); without
+    one, float64 buffers are allocated for this call.  A float32 batch,
+    float32 params and a float32 workspace give float32 activations, deltas,
+    gradients and loss arithmetic (train's mixed-precision step); a batch of
+    any other dtype is converted to float64, so a float64 call without a
+    workspace runs wholly in float64.  After the call the workspace's acts
+    buffers hold the deltas (d loss / d pre-activation of each layer), not
+    the activations: each hidden layer's delta is written over its
+    activations once its ReLU mask is taken.
     """
     batch = _check_batch(batch)
     n = batch.shape[0]
     work = workspace if workspace is not None else _Workspace(n)
-    x = batch[:, :3]
+    x = _augmented(batch, work.inputs)
     out = _forward_pass(params, x, work.acts)
     err = out - batch[:, 3]
     batch_loss = float(np.mean(err * err))
 
-    acts = [x] + [a[:n] for a in work.acts[:-1]]  # post-activation inputs per layer
-    grads = work.grads
+    acts = [x] + [a[:n] for a in work.acts[:-1]]  # each layer's (augmented) input
+    grads, ones = work.grads, work.ones[:n]
     delta = work.acts[-1][:n]  # d loss / d output, (N, 1), in the output's buffer
     np.multiply(err[:, None], 2.0 / n, out=delta)
-    np.matmul(delta.T, acts[-1], out=grads.weights[-1])
-    np.sum(delta, axis=0, out=grads.biases[-1])
-    for layer in range(len(params.weights) - 2, -1, -1):
+    for layer in range(len(params.weights) - 1, 0, -1):
+        np.matmul(delta.T, acts[layer], out=grads.weights[layer])
+        np.matmul(ones, delta, out=grads.biases[layer])
         # post-activation > 0 exactly where the pre-activation is > 0; once
-        # the mask is taken the layer's activations are not read again, and
-        # its delta is written over them
-        hidden = acts[layer + 1]
-        mask = np.greater(hidden, 0.0, out=work.masks[layer][:n])
-        np.matmul(delta, params.weights[layer + 1], out=hidden)
+        # the mask is taken the layer's input is not read again, and the
+        # delta of the layer below is written over it
+        hidden = acts[layer]
+        mask = np.greater(hidden, 0.0, out=work.masks[layer - 1][:n])
+        np.matmul(delta, params.weights[layer], out=hidden)
         hidden *= mask
-        np.matmul(hidden.T, acts[layer], out=grads.weights[layer])
-        np.sum(hidden, axis=0, out=grads.biases[layer])
         delta = hidden
+    np.matmul(x.T, delta, out=grads.layer0)  # W0 and b0 together
     return batch_loss, grads
 
 
 @dataclass
 class AdamState:
-    """Flat first/second moment vectors (laid out like theta), step count and learning rate."""
+    """Flat first/second moment vectors (laid out like theta), learning rate,
+    step count, and the step's float and bool scratch vectors."""
 
     m: np.ndarray
     v: np.ndarray
     learning_rate: float
-    step: int = 0
+    step: int
+    scratch: np.ndarray
+    finite: np.ndarray
 
 
 def init_adam(learning_rate: float) -> AdamState:
     if learning_rate <= 0:
         raise ValueError("learning rate must be positive")
-    zeros = np.zeros(PARAMETER_COUNT)
-    return AdamState(zeros, zeros.copy(), learning_rate)
+    zeros, finite = np.zeros(PARAMETER_COUNT), np.empty(PARAMETER_COUNT, bool)
+    return AdamState(zeros, zeros.copy(), learning_rate, 0, np.empty(PARAMETER_COUNT), finite)
 
 
 def adam_step(params: NetworkParams, grads: NetworkParams, state: AdamState):
     """One Adam update, in place; returns (params, state), the objects passed in.
 
-    params.theta, state.m and state.v are overwritten (two scratch vectors
-    hold the intermediates) and state.step advances.  The operation order is
-    fixed: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, and
-    theta = theta - lr*(m/c1)/(sqrt(v/c2)+eps) with c_i = 1 - b_i**t.
+    params.theta, state.m and state.v are overwritten, the intermediates go
+    into the state's scratch vectors (nothing is allocated) and state.step
+    advances.  The update is Kingma and Ba's efficient form (ICLR 2015, sec.
+    2), in this operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    theta = theta - alpha_t * (m / (sqrt(v) + eps_t)) with
+    alpha_t = lr*sqrt(1-b2**t)/(1-b1**t) and eps_t = eps*sqrt(1-b2**t).
     A non-finite theta after the update raises FloatingPointError; params
     then hold that update.
     """
     g = grads.theta
     t = state.step + 1
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    m, v, theta = state.m, state.v, params.theta
-    s1 = np.multiply(g, 1 - b1)
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    root = math.sqrt(1.0 - b2**t)
+    alpha = state.learning_rate * root / (1.0 - b1**t)
+    m, v, s, theta = state.m, state.v, state.scratch, params.theta
+    np.multiply(g, 1 - b1, out=s)
     m *= b1
-    m += s1
-    np.multiply(g, 1 - b2, out=s1)
-    s1 *= g
+    m += s
+    np.multiply(g, 1 - b2, out=s)
+    s *= g
     v *= b2
-    v += s1
-    np.divide(m, corr1, out=s1)
-    s1 *= lr
-    s2 = np.divide(v, corr2)
-    np.sqrt(s2, out=s2)
-    s2 += eps
-    s1 /= s2
-    theta -= s1
+    v += s
+    np.sqrt(v, out=s)
+    s += ADAM_EPSILON * root
+    np.divide(m, s, out=s)
+    s *= alpha
+    theta -= s
     state.step = t
-    if not np.isfinite(theta).all():
+    if np.count_nonzero(np.isfinite(theta, out=state.finite)) < theta.size:
         raise FloatingPointError(f"non-finite network parameter after Adam step {t}")
     return params, state
 
@@ -365,10 +406,10 @@ def train(
     before its update); the validation loss is a float64 pass at the end of
     the epoch over the held-out trailing split.  Training starts from
     init_network(seed) and fresh Adam moments.  Neither split is ever copied
-    out of samples: each minibatch is gathered from samples by index into the
-    float32 workspace's batch buffer, cast as it is written, and each
-    validation block into the float64 one's.  The epoch order is one index
-    buffer, refilled and shuffled in place.
+    out of samples: each minibatch and each validation block is gathered from
+    samples by index into the float64 workspace's batch buffer, and a
+    minibatch is then cast into the float32 one's.  Each epoch shuffles the
+    training split in place, so its order is the previous epoch's, permuted.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -391,16 +432,13 @@ def train(
     work = _Workspace(rows, np.float32, acts=_float32_over(validation.acts))
     params32 = NetworkParams._wrap(np.empty(PARAMETER_COUNT, np.float32))
     grads64 = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
-    order = _index_range(n_train)
     train_hist = np.empty(epochs)
     val_hist = np.empty(epochs)
     for epoch in range(epochs):
-        order.sort()  # back to 0 .. n_train-1, so the shuffle is rng.permutation(n_train)
-        rng.shuffle(order)
+        rng.shuffle(train_idx)  # the previous epoch's order, permuted
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
-            idx = train_idx[order[start : start + batch_size]]
-            batch = samples.take(idx, axis=0, out=work.batch[: idx.size], mode="clip")
+            batch = _gather(samples, train_idx[start : start + batch_size], validation, work)
             np.copyto(params32.theta, params.theta)
             batch_loss, grads = backward(params32, batch, work)
             if not np.isfinite(batch_loss):

@@ -17,9 +17,13 @@ Every corpus byte should be held once from generation to minibatch.  On the
   peaks can differ by some 40 bytes of CPython list, tuple and frame
   objects, depending on the free-list state that earlier tests leave;
 * backward on a float32 batch through a float32 workspace allocates less
-  than 48 KiB (36.5 KiB measured on a 640-row batch): the batch is not
+  than 48 KiB (36.6 KiB measured on a 640-row batch): the batch is not
   upcast, which would add a 20 KiB float64 batch and a 1 MiB float64
-  layer-0 product.
+  layer-0 product;
+* adam_step allocates less than 1 KiB: its intermediates live in the
+  AdamState;
+* train's minibatch gather and cast allocate less than 1 KiB: the rows are
+  gathered into the float64 batch buffer and cast after.
 
 tracemalloc counts only what is allocated while it runs, numpy's array data
 included, so each peak excludes the arguments handed in.
@@ -117,3 +121,27 @@ def test_float32_backward_allocates_almost_nothing(corpus):
     (_, grads), peak = traced_peak(sn.backward, float32, work.batch, work)
     assert grads.theta.dtype == np.float32
     assert peak < 48 * KIB, peak / KIB
+
+
+def test_adam_step_allocates_nothing():
+    # the moments, the update and the finiteness check run in the state's own
+    # buffers; what is left is a few Python floats (104 bytes measured)
+    params = sn.init_network(seed=SEED)
+    gradient = np.random.default_rng(SEED).normal(0.0, 1e-3, sn.PARAMETER_COUNT)
+    grads = sn.NetworkParams._wrap(gradient)
+    state = sn.init_adam(1e-3)
+    _, peak = traced_peak(sn.adam_step, params, grads, state)
+    assert state.step == 1
+    assert peak < KIB, peak
+
+
+def test_minibatch_gather_and_cast_allocate_almost_nothing(corpus):
+    # train's gather: int32 rows through the intp index buffer, into the
+    # float64 batch, then cast into the float32 one (320 bytes measured; a
+    # take that casts as it writes would allocate 25.8 KiB)
+    rows = np.random.default_rng(SEED).permutation(corpus.shape[0])[:640].astype(np.int32)
+    staging, work = sn._Workspace(640, gradients=False), sn._Workspace(640, np.float32)
+    batch, peak = traced_peak(sn._gather, corpus, rows, staging, work)
+    assert batch.dtype == np.float32
+    assert np.array_equal(batch, corpus[rows].astype(np.float32))
+    assert peak < KIB, peak

@@ -5,17 +5,23 @@ ReLU kinks; the first Adam step against its closed form (a fresh optimizer
 moves every coordinate by learning_rate * sign(g) up to the epsilon floor);
 ReLU dead paths by exact loss invariance under perturbations of weights that
 feed inactive units.  A float32 backward must agree with the float64 one to
-float32 accuracy, and a backward without a workspace must stay float64.  The
+float32 accuracy, and a backward without a workspace must stay float64.  In
+both dtypes, layer 0's one product [x, 1] . [W0^T; b0] must equal the affine
+map, and each bias gradient the row sum of its delta, to a few rounding
+errors, and backward and loss must leave the caller's batch unchanged.  The
 in-place mixed-precision trainer must match a list-based reference trainer
 (allocating float32 forward/backward, per-layer float64 Adam) bit for bit,
 and a single input must match the one-row batch bit for bit.  The CWNN container
 must reject every single-byte flip and every truncation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cawave import cli, datasets
@@ -166,6 +172,81 @@ def test_backward_without_a_workspace_runs_in_float64():
     assert int_loss == want_loss and np.array_equal(int_grads.theta, want.theta)
 
 
+DTYPES = st.sampled_from([np.float32, np.float64])
+
+
+def _biased(seed, dtype):
+    """init_network(seed) with normal biases, in dtype."""
+    params = sn.init_network(seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in params.biases:
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    return params if dtype == np.float64 else _float32(params)
+
+
+def _batches(max_rows):
+    """(dtype, batch): 1 .. max_rows sample rows of finite values of dtype."""
+    def batches(dtype):
+        shape = st.tuples(st.integers(1, max_rows), st.just(4))
+        elements = st.floats(-50.0, 50.0, width=np.finfo(dtype).bits)
+        return st.tuples(st.just(dtype), arrays(dtype, shape, elements=elements))
+    return DTYPES.flatmap(batches)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=st.integers(0, 3), drawn=_batches(16))
+def test_layer0_product_is_the_affine_map_to_a_few_ulps(seed, drawn):
+    # [x, 1] . [W0^T; b0] is one product; after the ReLU it must equal
+    # relu(x W0^T + b0), taken in extended precision, within 4 eps of the sum
+    # of its four terms' magnitudes (a 4-term dot product errs by <= 2 eps)
+    dtype, batch = drawn
+    n = batch.shape[0]
+    params = _biased(seed, dtype)
+    work = sn._Workspace(n, dtype, gradients=False)
+    sn.loss(params, batch, workspace=work)  # one block: acts[0] is layer 0's output
+    x = batch[:, :3].astype(np.longdouble)
+    w0, b0 = params.weights[0].astype(np.longdouble), params.biases[0].astype(np.longdouble)
+    exact = np.maximum(x @ w0.T + b0, 0.0)
+    scale = np.abs(x) @ np.abs(w0.T) + np.abs(b0)
+    assert np.all(np.abs(work.acts[0][:n] - exact) <= 4 * np.finfo(dtype).eps * scale)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=st.integers(0, 3), drawn=_batches(64))
+def test_bias_gradients_are_the_row_sums_of_the_deltas(seed, drawn):
+    # each bias gradient is ones^T delta (layer 0's is the ones column of
+    # its product), with the delta left in that layer's acts buffer; it must
+    # equal the exact row sum within the bound that holds for any order of
+    # summation, gamma_(n-1) * sum |delta|, so a single row is exact
+    dtype, batch = drawn
+    n = batch.shape[0]
+    params = _biased(seed, dtype)
+    work = sn._Workspace(n, dtype)
+    _, grads = sn.backward(params, batch, work)
+    u = np.finfo(dtype).eps / 2
+    gamma = (n - 1) * u / (1 - (n - 1) * u)
+    for layer, bias in enumerate(grads.biases):
+        delta = work.acts[layer][:n].astype(float)
+        for col, got in zip(delta.T, bias):
+            assert abs(math.fsum([*col, -float(got)])) <= gamma * math.fsum(np.abs(col))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(seed=st.integers(0, 3), drawn=_batches(16))
+def test_backward_and_loss_leave_the_batch_unchanged(seed, drawn):
+    # layer 0's augmented input [x, 1] lives in a workspace buffer, never in
+    # the caller's array, with or without a workspace and with listed rows
+    dtype, batch = drawn
+    n = batch.shape[0]
+    params = _biased(seed, dtype)
+    before = batch.tobytes()
+    sn.backward(params, batch)
+    sn.backward(params, batch, sn._Workspace(n, dtype))
+    sn.loss(params, batch)
+    sn.loss(params, batch, np.arange(n)[::-1].copy(), sn._Workspace(2, dtype, gradients=False))
+    assert batch.tobytes() == before
+
+
 def test_dead_relu_path_is_exactly_flat():
     # perturbing a weight into a unit that never fires cannot change the loss
     params = sn.init_network(seed=4)
@@ -244,57 +325,64 @@ def test_training_validation_errors():
 
 def reference_train(samples, epochs, batch_size, validation_fraction, seed):
     """The list-based mixed-precision trainer: allocating float32 forward and
-    backward, per-layer float64 Adam.
+    backward, per-layer float64 Adam in its efficient form.
 
     Same data order, split, initialization and operation order as sn.train,
-    with every intermediate a fresh array.  Each batch casts every layer and
-    the batch rows to float32 and the float32 gradients to float64; Adam and
-    the one-pass validation loss stay float64.
+    with every intermediate a fresh array.  Layer 0 is the matrix [W0^T; b0]
+    applied to the inputs with a column of ones appended, so its gradient is
+    one product too; the other layers' bias gradients are ones^T delta.  Each
+    batch casts every layer and the batch rows to float32 and the float32
+    gradients to float64; Adam and the one-pass validation loss stay float64.
+    The layers come back as [layer0, W1, W2, W3, b1, b2, b3].
     """
     rng = np.random.default_rng(seed)
     init = sn.init_network(seed)
-    layers = [w.copy() for w in init.weights] + [b.copy() for b in init.biases]
+    layers = [np.vstack([init.weights[0].T, init.biases[0]])]
+    layers += [w.copy() for w in init.weights[1:]] + [b.copy() for b in init.biases[1:]]
     moments = [[np.zeros_like(a) for a in layers] for _ in range(2)]
     nl = len(init.weights)
     train_idx, val_idx = sn.validation_split(samples.shape[0], validation_fraction, rng)
     train_set, val_set = samples[train_idx], samples[val_idx]
 
     def forward(layers, x):
-        ws, bs = layers[:nl], layers[nl:]
-        acts, pre, a = [x], [], x
-        for w, b in zip(ws[:-1], bs[:-1]):
-            z = a @ w.T + b
+        augmented = np.column_stack([x, np.ones(x.shape[0], x.dtype)])
+        z = augmented @ layers[0]
+        acts, pre = [augmented], []
+        for w, b in zip(layers[1:nl], layers[nl:]):
             pre.append(z)
             a = np.maximum(z, 0.0)
             acts.append(a)
-        return (a @ ws[-1].T + bs[-1])[:, 0], acts, pre
+            z = a @ w.T + b
+        return z[:, 0], acts, pre
 
     b1, b2, lr, eps = 0.9, 0.999, 1e-3, 1e-8
     step = 0
     train_hist, val_hist = [], []
     for _ in range(epochs):
-        order = rng.permutation(train_set.shape[0])
+        train_set = train_set[rng.permutation(train_set.shape[0])]  # the last order, permuted
         loss_sum = 0.0
         for start in range(0, train_set.shape[0], batch_size):
-            batch = train_set[order[start : start + batch_size]].astype(np.float32)
+            batch = train_set[start : start + batch_size].astype(np.float32)
             layers32 = [a.astype(np.float32) for a in layers]
             out, acts, pre = forward(layers32, batch[:, :3])
             err = out - batch[:, 3]
             loss_sum += float(np.mean(err * err)) * batch.shape[0]
-            gw, gb = [None] * nl, [None] * nl
+            ones = np.ones(batch.shape[0], np.float32)
+            grads = [None] * len(layers)
             delta = (2.0 / batch.shape[0]) * err[:, None]
-            gw[-1], gb[-1] = delta.T @ acts[-1], delta.sum(axis=0)
-            for layer in range(nl - 2, -1, -1):
-                delta = (delta @ layers32[layer + 1]) * (pre[layer] > 0.0)
-                gw[layer], gb[layer] = delta.T @ acts[layer], delta.sum(axis=0)
-            assert all(g.dtype == np.float32 for g in gw + gb)
+            for layer in range(nl - 1, 0, -1):
+                grads[layer], grads[nl - 1 + layer] = delta.T @ acts[layer], ones @ delta
+                delta = (delta @ layers32[layer]) * (pre[layer - 1] > 0.0)
+            grads[0] = acts[0].T @ delta
+            assert all(g.dtype == np.float32 for g in grads)
             step += 1
-            c1, c2 = 1.0 - b1**step, 1.0 - b2**step
-            for i, g in enumerate(gw + gb):
+            root = math.sqrt(1.0 - b2**step)
+            alpha, eps_hat = lr * root / (1.0 - b1**step), eps * root
+            for i, g in enumerate(grads):
                 g = g.astype(np.float64)
                 m = b1 * moments[0][i] + (1 - b1) * g
                 v = b2 * moments[1][i] + (1 - b2) * g * g
-                layers[i] = layers[i] - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+                layers[i] = layers[i] - alpha * (m / (np.sqrt(v) + eps_hat))
                 moments[0][i], moments[1][i] = m, v
         train_hist.append(loss_sum / train_set.shape[0])
         err = forward(layers, val_set[:, :3])[0] - val_set[:, 3]
@@ -314,7 +402,7 @@ def test_training_matches_list_based_reference_bit_for_bit():
     params, hist = sn.train(samples, epochs=3, batch_size=256, validation_fraction=0.4, seed=6)
     assert params.theta.dtype == np.float64
     layers, train_hist, val_hist = reference_train(samples, 3, 256, 0.4, 6)
-    for got, want in zip(params.weights + params.biases, layers):
+    for got, want in zip([params.layer0] + params.weights[1:] + params.biases[1:], layers):
         assert np.array_equal(got, want)
     assert np.array_equal(hist.train, train_hist)
     assert np.array_equal(hist.validation, val_hist)
@@ -327,16 +415,18 @@ def test_training_matches_list_based_reference_bit_for_bit():
     seed=st.integers(0, 2**64 - 1),
 )
 def test_in_place_index_shuffles_draw_what_permutation_draws(n, fraction, seed):
-    # train's split and epoch order are int32 ranges shuffled in place; each
-    # must equal rng.permutation of its length and leave the generator where
-    # rng.permutation leaves it
+    # train's split is an int32 range shuffled in place, and each epoch
+    # shuffles the training split in place; each shuffle must permute what it
+    # is given as rng.permutation of its length does, leave the validation
+    # split alone and leave the generator where rng.permutation leaves it
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
     train_idx, val_idx = sn.validation_split(n, fraction, rng)
     assert train_idx.dtype == val_idx.dtype == np.int32
     assert np.array_equal(np.concatenate([train_idx, val_idx]), reference.permutation(n))
-    order = np.arange(train_idx.size, dtype=np.int32)
-    rng.shuffle(order)
-    assert np.array_equal(order, reference.permutation(train_idx.size))
+    before, held_out = train_idx.copy(), val_idx.copy()
+    rng.shuffle(train_idx)
+    assert np.array_equal(train_idx, before[reference.permutation(train_idx.size)])
+    assert np.array_equal(val_idx, held_out)
     assert rng.integers(2**63) == reference.integers(2**63)
 
 
@@ -350,7 +440,7 @@ def test_forward_blocks_equal_per_block_results():
     for rows in (None, np.arange(samples.shape[0])[::-1].copy()):
         listed = samples if rows is None else samples[rows]
         parts = [sn.forward(params, listed[i : i + block, :3]) for i in range(0, listed.shape[0], block)]
-        blocks = [pred.copy() for _, _, pred in sn._forward_blocks(params, samples, work.acts, rows, work.batch)]
+        blocks = [pred.copy() for _, _, pred in sn._forward_blocks(params, samples, work, rows)]
         assert np.array_equal(np.concatenate(blocks), np.concatenate(parts))
         err = np.concatenate(parts) - listed[:, 3]
         assert sn.loss(params, samples, rows, work) == float(np.mean(err * err))
@@ -359,8 +449,12 @@ def test_forward_blocks_equal_per_block_results():
 def test_parameter_views_share_one_vector():
     params = sn.init_network(seed=17)
     assert params.theta.shape == (sn.PARAMETER_COUNT,)
-    expected = np.concatenate([a.ravel() for p in zip(params.weights, params.biases) for a in p])
-    assert np.array_equal(params.theta, expected)
+    # layer 0 first as the 4 x 200 matrix [W0^T; b0], then W1, b1, ... as in CWNN
+    assert np.array_equal(params.layer0, np.vstack([params.weights[0].T, params.biases[0]]))
+    rest = [a.ravel() for p in zip(params.weights[1:], params.biases[1:]) for a in p]
+    assert np.array_equal(params.theta, np.concatenate([params.layer0.ravel()] + rest))
+    params.biases[0][5] = 4.5
+    assert params.theta[3 * 200 + 5] == 4.5
     params.biases[-1][:] = 2.5
     assert params.theta[-1] == 2.5
     params.theta[0] = -1.0
