@@ -17,12 +17,12 @@ same linear map of [w; e^{-t}]:
 
     [w_n; s_n] = S [w_{n-1}; s_{n-1}],   S = [[F^{-1} M/dt, q F^{-1} M f], [0, q]]
 
-with q = e^{-dt} and s_n = e^{-n dt}.  F is factored once per mesh and S is
-formed by one factored solve on the n+1 columns [M/dt | q M f]; the N steps
-are then S^N, evaluated by binary powering (Knuth, TAOCP vol. 2, 4.6.3) in
-about log2 N dense squarings.  Powering reorders the steps' arithmetic, so it
-agrees with stepping to roundoff, not bit for bit.  Errors are discrete L2 norms sqrt(e^T M e)
-against the nodal interpolant; second order is expected.
+with q = e^{-dt} and s_n = e^{-n dt}.  S is formed by one solve with F per
+mesh, on the n+1 columns [M/dt | q M f]; the N steps are then S^N,
+evaluated by binary powering (Knuth, TAOCP vol. 2, 4.6.3) in about log2 N
+dense squarings.  Powering reorders the steps' arithmetic, so it agrees with
+stepping to roundoff, not bit for bit.  Errors are discrete L2 norms
+sqrt(e^T M e) against the nodal interpolant; second order is expected.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def transient_case_error(num_elements: int) -> float:
     mesh, mass, diffusion = _discretize(num_elements)
     num_steps = num_elements * num_elements  # horizon / (horizon (h/L)^2)
     dt = TRANSIENT_HORIZON / num_steps
-    factor = fem_core.TridiagonalFactor(fem_core.BandedMatrix(mass.bands / dt + diffusion))
+    op = fem_core.BandedMatrix(mass.bands / dt + diffusion)
 
     profile = exact_steady(mesh.nodes)
     mass_forcing = mass.matvec(steady_source(mesh.nodes) - profile)  # s(r, t) = e^{-t} forcing(r)
@@ -99,7 +99,7 @@ def transient_case_error(num_elements: int) -> float:
     power[:n, :n] = mass.to_dense()
     power[:n, :n] /= dt
     power[:n, n] = decay * mass_forcing
-    power[:n] = factor.solve(power[:n])
+    power[:n] = fem_core.solve_tridiagonal(op.lower, op.diag, op.upper, power[:n])
     power[n, n] = decay
     spare = np.empty_like(power)
     state = np.append(profile, 1.0)  # exact at t = 0

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import container
 from .errors import CorruptFileError
-from .ryr_markov import FULLY_CLOSED_STATE, MarkovRates, MarkovState, backward_euler_update
+from .ryr_markov import (
+    FULLY_CLOSED_STATE, SIMPLEX_TOL, MarkovRates, MarkovState, backward_euler_update,
+)
 
 BASELINE = 0.05  # uM, resting calcium of every generated pulse
 SIGNAL_DT = 0.05  # s, sampling step of the ODE corpus
@@ -123,7 +125,7 @@ def label_signals(
     for n in range(1, n_t):
         c1, o, c2 = backward_euler_update(c1, o, c2, u_block[:, n], dt, rates)
         p[:, n] = 1.0 - c1 - c2
-    if p.min() < -1e-9 or p.max() > 1.0 + 1e-9:
+    if p.min() < -SIMPLEX_TOL or p.max() > 1.0 + SIMPLEX_TOL:
         raise FloatingPointError("gating labels left the probability simplex")
     return np.clip(p, 0.0, 1.0, out=p)
 

@@ -23,16 +23,13 @@ vanishes at the origin.
 Mass and stiffness matrices are the familiar unweighted P1 element matrices;
 no r-weight appears in any inner product.  All matrices are tridiagonal and
 kept in LAPACK band storage (BandedMatrix).  The one product A x is
-BandedMatrix.matvec, one BLAS dgbmv call on that storage.  Systems are solved
-by Gaussian elimination with partial pivoting, in one of two ways.  An
-operator that changes from call to call takes the one-shot solve,
-solve_tridiagonal (LAPACK gtsv).  A constant operator is factored once,
-TridiagonalFactor (gttrf), and each right-hand side then costs one gttrs
-call; both give the same bits.  The scipy wrappers of dgbmv and gttrf reject
-n < 3, so matvec and TridiagonalFactor raise ValueError below that; the
-smallest system a run builds has 6 rows.  Functions return fresh arrays and
-never mutate their inputs; the one exception is BandedMatrix.matvec, which
-writes into the caller's out array when given one.
+BandedMatrix.matvec, one BLAS dgbmv call on that storage.  The one solve is
+solve_tridiagonal, one LAPACK gtsv call (Gaussian elimination with partial
+pivoting) on the three bands, for one or several right-hand sides at once.
+The scipy wrapper of dgbmv rejects n < 3, so matvec raises ValueError below
+that; the smallest system a run builds has 6 rows.  Functions return fresh
+arrays and never mutate their inputs; the one exception is
+BandedMatrix.matvec, which writes into the caller's out array when given one.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SingularMatrixError
 
@@ -186,7 +183,7 @@ def singular_entry_values(h: float):
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a tridiagonal system given raw bands (fast path for steppers).
+    """Solve a tridiagonal system given its three bands.
 
     rhs may be (n,) or (n, k); k right-hand sides share one factorization.
     One LAPACK gtsv call; its partial pivoting copes with zero or tiny
@@ -199,27 +196,3 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if info != 0:
         raise SingularMatrixError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
     return x
-
-
-class TridiagonalFactor:
-    """LU factors of a constant tridiagonal matrix, for many right-hand sides.
-
-    One LAPACK gttrf call at construction, with the partial pivoting of
-    solve_tridiagonal; solve then costs one gttrs call and returns the same
-    bits as solve_tridiagonal would.
-    """
-
-    def __init__(self, matrix: BandedMatrix):
-        if matrix.bands.shape[1] < 3:
-            raise ValueError(f"gttrf needs n >= 3, got {matrix.bands.shape[1]}")
-        *self._factors, info = dgttrf(matrix.lower, matrix.diag, matrix.upper)
-        if info != 0:
-            raise SingularMatrixError(f"tridiagonal factorization failed: LAPACK gttrf info = {info}")
-
-    def solve(self, rhs) -> np.ndarray:
-        """x with A x = rhs; rhs may be (n,) or (n, k) and is left untouched.
-
-        gttrs reports only malformed arguments, which the wrapper rejects
-        first, so its info is not read.
-        """
-        return dgttrs(*self._factors, rhs)[0]

@@ -65,7 +65,8 @@ at once, before they are copied into w: they are the range check (NaN fails
 it; a step that raises leaves the state as it was, counts included) and the
 observer's u maximum.  Every step clamps the fields at zero for the reaction
 and flux terms while the data keep the raw fields; SimState and the range
-check admit nothing below -1e-8, so the clamp only removes roundoff.
+check, check_field_ranges, admit nothing below -1e-8, so the clamp only
+removes roundoff.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ class SimState:
     work buffers that step_imex advances them in (see the module docstring).
 
     u, b and ue are read-only views of w; the state shares no memory with its
-    inputs, which must match their meshes and undershoot by at most 1e-8.
+    inputs, which must match their meshes and pass check_field_ranges.
     passes holds the boundary-pass counts summed over the steps taken and
     max_passes the largest of each in one step.
     """
@@ -243,11 +244,10 @@ class SimState:
         for name, values, size in zip(FIELD_NAMES, (u, b, ue), (n_c, n_c, system.er.num_nodes)):
             if np.shape(values) != (size,):
                 raise ValueError(f"{name} has shape {np.shape(values)}, expected ({size},)")
-            if (low := float(np.min(values))) < -UNDERSHOOT_TOL:
-                raise StateInvariantError(f"{name} undershot to {low}")
         self.w = np.concatenate((u, b, ue))
         self.starts = np.array([0, n_c, 2 * n_c])
         self.ceilings = (1e9, cfg.buffer.total + UNDERSHOOT_TOL, 1e9)  # as FIELD_NAMES
+        self.u_max = check_field_ranges(self.w, self.starts, self.ceilings)[0]
         self.matrix = BandedMatrix(system.static.copy(order="F"))  # the u_e block never changes
         self.rhs = np.zeros((self.w.size, 3), order="F")
         self.rhs[0, 1] = self.rhs[-1, 1] = self.rhs[n_c - 1, 2] = 1.0  # L rows of u, u_e; R of u
@@ -275,7 +275,23 @@ class SimState:
         self.u, self.b, self.ue = np.split(self.w, self.starts[1:])
         for view in (self.u, self.b, self.ue):
             view.flags.writeable = False
-        self.u_max = float(self.w[:n_c].max())
+
+
+def check_field_ranges(w: np.ndarray, starts: np.ndarray, ceilings: tuple) -> list:
+    """Each field's maximum, once every block of w (from starts) lies in
+    [-UNDERSHOOT_TOL, its ceiling]: two reductions bound all six ends, NaN
+    fails every comparison, and StateInvariantError names the first bad field."""
+    lows = np.minimum.reduceat(w, starts).tolist()
+    highs = np.maximum.reduceat(w, starts).tolist()
+    floor, (u_hi, b_hi, e_hi) = -UNDERSHOOT_TOL, ceilings
+    if not (lows[0] >= floor and lows[1] >= floor and lows[2] >= floor
+            and highs[0] <= u_hi and highs[1] <= b_hi and highs[2] <= e_hi):
+        for name, low, high, hi in zip(FIELD_NAMES, lows, highs, ceilings):
+            if not (low >= floor and high <= hi):
+                if not (math.isfinite(low) and math.isfinite(high)):
+                    raise StateInvariantError(f"{name} became non-finite")
+                raise StateInvariantError(f"{name} left [{floor}, {hi}]: range [{low}, {high}]")
+    return highs
 
 
 def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimState:
@@ -397,19 +413,7 @@ def step_imex(state: SimState) -> None:
     y_u += np.multiply(g_r, new_beta, out=work[:n_c])
     y_e += np.multiply(g_e, new_beta_e, out=work[: y_e.size])
     new = x[:, 0]
-
-    # All six field bounds from two reductions; NaN fails every comparison,
-    # and the loop names the first field out of its band.
-    lows = np.minimum.reduceat(new, state.starts).tolist()
-    highs = np.maximum.reduceat(new, state.starts).tolist()
-    floor, (u_hi, b_hi, e_hi) = -UNDERSHOOT_TOL, state.ceilings
-    if not (lows[0] >= floor and lows[1] >= floor and lows[2] >= floor
-            and highs[0] <= u_hi and highs[1] <= b_hi and highs[2] <= e_hi):
-        for name, low, high, hi in zip(FIELD_NAMES, lows, highs, state.ceilings):
-            if not (low >= floor and high <= hi):
-                if not (math.isfinite(low) and math.isfinite(high)):
-                    raise StateInvariantError(f"{name} became non-finite")
-                raise StateInvariantError(f"{name} left [{floor}, {hi}]: range [{low}, {high}]")
+    highs = check_field_ranges(new, state.starts, state.ceilings)
     w[:] = new
     state.u_max = highs[0]
     state.t, state.channel, state.p_open = t_next, channel, p_open

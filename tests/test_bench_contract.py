@@ -5,9 +5,9 @@ module functions, and bench/run.py runs each workload as cawave command
 lines.  A change in src/ that renames a traced function or drops an option
 the workloads pass would break the benchmark only when it runs; these checks
 catch it in the test suite instead.  A traced run must also count each of
-its steps, which it does only if the run calls the wrapped step, and a traced
+its steps, which it does only if the run calls the wrapped step, a traced
 training run each batch's backward and Adam step and each epoch's validation
-loss.  bench/bdf_reference.py integrates the semidiscrete system through the
+loss, and a traced convergence study each of its tridiagonal solves.  bench/bdf_reference.py integrates the semidiscrete system through the
 checked flux laws; its right-hand side must still evaluate.
 bench/run.py and bench/bdf_reference.py pin the BLAS thread variables when
 they are imported; monkeypatch sets them first so that teardown restores them.
@@ -69,6 +69,25 @@ def test_trace_sees_every_step_of_a_run(bench):
     stats = tracer.layer_stats()
     assert stats.calls("hybrid_solver.step_imex") == 5
     assert stats.nested_calls("fem_core.solve_tridiagonal", "hybrid_solver.step_imex") == 5
+
+
+def test_trace_sees_every_solve_of_a_convergence_study(bench):
+    # both cases reach solve_tridiagonal through the fem_core attribute: one
+    # solve per mesh, five meshes per case
+    _, tracing = bench
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(cawave)
+        tracer.begin_round()
+        tracer.active = True
+        cawave.convergence.run_convergence_study()
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    stats = tracer.layer_stats()
+    assert stats.calls("fem_core.solve_tridiagonal") == 10
+    for case in ("steady_case_error", "transient_case_error"):
+        assert stats.nested_calls("fem_core.solve_tridiagonal", f"convergence.{case}") == 5, case
 
 
 def test_trace_counts_each_batch_and_each_validation_pass(bench):

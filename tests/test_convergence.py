@@ -1,6 +1,6 @@
 """Manufactured-solution study: rates, monotonicity, the source term, the
 powered transient propagator against one solve per step and against an
-extended-precision stepped run, and its cost: one factored solve per mesh."""
+extended-precision stepped run, and its cost: one solve per mesh."""
 
 import math
 
@@ -92,7 +92,7 @@ def per_step_transient_error(num_elements):
     return float(math.sqrt(err @ mass.matvec(err)))
 
 
-@pytest.mark.parametrize("num_elements", range(2, 13))  # gttrf takes n >= 3 nodes
+@pytest.mark.parametrize("num_elements", range(2, 13))  # dgbmv takes n >= 3 nodes
 def test_factored_transient_equals_per_step_solves(num_elements):
     # powering reorders the arithmetic of the steps, so the two runs agree to
     # roundoff, not bit for bit
@@ -154,18 +154,18 @@ def test_powered_transient_matches_an_extended_precision_stepped_run():
 @pytest.mark.parametrize("num_elements", [5, 12])  # 25 and 144 steps, the same cost
 def test_transient_cost_is_one_factored_solve_per_mesh(num_elements, monkeypatch):
     calls = {"product": 0, "solve": 0}
-    product, solve = fem_core.BandedMatrix.matvec, fem_core.TridiagonalFactor.solve
+    product, solve = fem_core.BandedMatrix.matvec, fem_core.solve_tridiagonal
 
     def counted_product(self, x, out=None):
         calls["product"] += 1
         return product(self, x, out)
 
-    def counted_solve(self, rhs):
+    def counted_solve(lower, diag, upper, rhs):
         calls["solve"] += 1
-        return solve(self, rhs)
+        return solve(lower, diag, upper, rhs)
 
     monkeypatch.setattr(fem_core.BandedMatrix, "matvec", counted_product)
-    monkeypatch.setattr(fem_core.TridiagonalFactor, "solve", counted_solve)
+    monkeypatch.setattr(fem_core, "solve_tridiagonal", counted_solve)
     cv.transient_case_error(num_elements)
     # M f once per mesh, M e in the L2 norm, and the one solve that forms S;
     # a stepped run would make one product and one solve per step

@@ -10,13 +10,10 @@ partial pivoting) is checked against dense LU on random systems with one or
 several right-hand sides, including zero and tiny leading pivots, and must
 reject exactly singular systems.  A
 block-diagonal system with zero seam entries must solve bit for bit as its
-blocks solved one by one.  The factored solve (gttrf once, gttrs per
-right-hand side) must give the one-shot solve's bits, reject the same
-singular systems when it factors, and leave its inputs untouched.  The
-banded product A x (BandedMatrix.matvec, BLAS dgbmv) must match the dense one
-to a few ulps of |A| |x|, and a block-diagonal product with zero seams must
-give each block's standalone bits.  The product and the factored solve take
-n >= 3 and raise ValueError below that.
+blocks solved one by one.  The banded product A x (BandedMatrix.matvec, BLAS
+dgbmv) must match the dense one to a few ulps of |A| |x|, and a
+block-diagonal product with zero seams must give each block's standalone
+bits.  The product takes n >= 3 and raises ValueError below that.
 The finite-part entries give the ER operator K - A one negative mode,
 pinned to the origin: its eigenvalue scales like 1/h^2 and its eigenvector
 lives on the first three nodes.  The cytosolic operator has none.
@@ -354,12 +351,10 @@ def test_matvec_matches_dense():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_product_and_factor_reject_fewer_than_three_rows(n):
+def test_product_rejects_fewer_than_three_rows(n):
     mat = fem_core.BandedMatrix(stack_bands(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1)))
     with pytest.raises(ValueError, match="n >= 3"):
         mat.matvec(np.ones(n))
-    with pytest.raises(ValueError, match="n >= 3"):
-        fem_core.TridiagonalFactor(mat)
 
 
 # entries of either sign, bounded away from zero so that few draws are singular
@@ -470,36 +465,6 @@ def test_block_diagonal_solve_equals_separate_solves(blocks, zero_lead, extra):
 
 
 @PROPERTY_SETTINGS
-@given(
-    system=st.integers(3, 40).flatmap(_bands),  # gttrf takes n >= 3
-    lead=st.sampled_from([None, 0.0, 1e-300, -1e-17]),
-    extra=st.sampled_from([None, 0, 2]),  # 1-D, or k = 1 or 3 columns
-)
-def test_factored_solve_equals_one_shot_solve(system, lead, extra):
-    lower, diag, upper, rhs = system
-    if lead is not None:  # a zero or tiny leading pivot forces a row swap
-        diag = diag.copy()
-        diag[0] = lead
-    rhs_list = [_with_columns(rhs * scale, extra) for scale in (1.0, -3.5, 1e-3)]
-    matrix = fem_core.BandedMatrix(stack_bands(lower, diag, upper))
-    inputs = (lower, diag, upper, matrix.bands, *rhs_list)
-    before = [a.copy() for a in inputs]
-    try:
-        expected = [fem_core.solve_tridiagonal(lower, diag, upper, b) for b in rhs_list]
-    except SingularMatrixError:
-        with pytest.raises(SingularMatrixError):
-            fem_core.TridiagonalFactor(matrix)
-        return
-    factor = fem_core.TridiagonalFactor(matrix)
-    for b, x in zip(rhs_list, expected):  # one factor serves every right-hand side
-        solved = factor.solve(b)
-        assert solved.shape == b.shape
-        assert solved.tobytes() == x.tobytes()
-    for now, then in zip(inputs, before):
-        assert now.tobytes() == then.tobytes()
-
-
-@PROPERTY_SETTINGS
 @given(system=TRIDIAGONAL_SYSTEMS, k=st.integers(0, 39), zero=st.sampled_from(["row", "column"]))
 def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
     lower, diag, upper, rhs = (a.copy() for a in system)
@@ -513,6 +478,3 @@ def test_solve_tridiagonal_rejects_exactly_singular(system, k, zero):
         after[k] = 0.0
     with pytest.raises(SingularMatrixError):
         fem_core.solve_tridiagonal(lower, diag, upper, rhs)
-    if n >= 3:  # the factored solve, when it factors (gttrf takes n >= 3)
-        with pytest.raises(SingularMatrixError, match="gttrf"):
-            fem_core.TridiagonalFactor(fem_core.BandedMatrix(stack_bands(lower, diag, upper)))

@@ -16,7 +16,9 @@ chain of in-place step_imex calls bit for bit, boundary-pass counts
 included; a boundary system made exactly singular must raise
 SingularMatrixError, and the CLI must report it with exit code 3; an ER
 interface iterate at or below the collapse floor must raise in the step
-that makes it.  The step's one solve must give g_e, the u_e block's
+that makes it.  A state must refuse at construction, naming the field, what
+the step's range check refuses: NaN, a value below the floor or above a
+ceiling.  The step's one solve must give g_e, the u_e block's
 response to unit data at r = L, bit for bit as the block alone would.  The
 scalar bound, each boundary loop's one exit test, must never accept a
 change that exceeds the tolerance at some node.  Each loop makes at least
@@ -216,8 +218,31 @@ def test_negative_undershoot_policy():
 
     u = rest.u.copy()
     u[3] = -1e-7  # beyond roundoff: no state holds it, so no step starts from it
-    with pytest.raises(StateInvariantError, match="cytosolic calcium undershot to -1e-07"):
+    with pytest.raises(StateInvariantError, match=r"cytosolic calcium left \[-1e-08, .*-1e-07"):
         hs.SimState(cfg, sys_, u, rest.b, rest.ue, rest.channel)
+
+
+@pytest.mark.parametrize(
+    "field, node, value, message",
+    [
+        ("ue", 3, np.nan, "ER calcium became non-finite"),
+        ("u", 0, np.nan, "cytosolic calcium became non-finite"),
+        ("b", 2, 45.0, r"free buffer left \[-1e-08, 40.00000001\]"),
+        ("u", 4, 2e9, r"cytosolic calcium left \[-1e-08, 1000000000.0\]"),
+    ],
+    ids=["nan-ue", "nan-u", "b-above-total", "u-above-1e9"],
+)
+def test_state_admits_only_what_a_step_admits(field, node, value, message):
+    # the step's range check, applied to the fields a state is built from
+    # (test_negative_undershoot_policy has the floor): a bad field is named
+    # here, not by a misleading failure in the first step
+    cfg = hs.SimConfig(cyto_elements=8, er_elements=8, dt=0.01)
+    sys_ = hs.build_system(cfg)
+    rest = hs.make_initial_state(cfg, sys_)
+    fields = {"u": rest.u.copy(), "b": rest.b.copy(), "ue": rest.ue.copy()}
+    fields[field][node] = value
+    with pytest.raises(StateInvariantError, match=message):
+        hs.SimState(cfg, sys_, *fields.values(), rest.channel)
 
 
 def test_depleted_store_aborts():
