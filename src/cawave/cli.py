@@ -17,10 +17,10 @@ settings from the config alone.  Exit codes: 0 on success, 2 for config
 errors (argparse failures and seeds outside [0, 2**64 - 1] included), 3 for
 numeric failures, 4 for I/O errors.  Each output file gets a sidecar
 <file>.meta.json recording the effective config (seeds included), its
-digest and library versions; train's also record the subset and the input
-dataset's name and CRC32, simulate's the channel, the weight file's CRC32
-and the run's boundary-pass counts.  The data files carry no timestamps, so
-fixed seeds reproduce them bit for bit.
+digest and library versions; train's also record the subset, the input
+dataset's name and CRC32 and the last and lowest validation loss, simulate's
+the channel, the weight file's CRC32 and the run's boundary-pass counts.
+The data files carry no timestamps, so fixed seeds reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -136,6 +136,11 @@ def cmd_train(args) -> int:
         samples = samples[idx]
 
     params, history = surrogate_net.train(samples, **cfg.arguments("network"))
+    val = history.validation  # information only: the saved weights are the last epoch's
+    best = None if np.isnan(val).all() else int(np.nanargmin(val))
+    provenance["validation_loss"] = None if best is None else {
+        "last": float(val[-1]), "lowest": float(val[best]), "lowest_epoch": best + 1
+    }
 
     weights_path = os.path.join(args.out, "weights.cwnn")
     surrogate_net.save_weights(weights_path, params)

@@ -19,19 +19,19 @@ efficient form) is a handful of in-place vector operations on theta, its two
 moment vectors and one scratch vector.
 
 Training runs in mixed precision (Micikevicius et al., "Mixed Precision
-Training", ICLR 2018).  The corpus, the master theta, the Adam moments, the
-per-epoch validation loss and the saved weights are float64.  Each minibatch
-is gathered from the corpus by index into a float64 buffer and cast into a
-float32 one, theta is cast into a float32 copy, and forward and backward run
-in float32; the float32 gradient is cast back to float64 for Adam.  A
-training run allocates its buffers once: a float32 _Workspace for backward
-and a float64 one without masks or gradients for the validation pass and
-the gather; the float32 activations occupy the memory of the float64 ones.
-backward writes each layer's delta over that layer's activations.  Beyond
-the corpus, train holds only those buffers, the two parameter-sized casts,
-the Adam moments and scratch and one int32 index array (the split, whose
-training part each epoch shuffles in place).  forward, loss and backward
-without a workspace run in float64, in one pass over their rows.
+Training", ICLR 2018).  The corpus, the master theta, the Adam moments and
+the saved weights are float64.  Each minibatch is gathered from the corpus by
+index into a float64 staging block and cast into a float32 batch, theta is
+cast into a float32 copy, and forward and backward run in float32; the
+float32 gradient is cast back to float64 for Adam.  The per-epoch validation
+pass runs in the same precision, on a float32 cast of the epoch's theta, with
+its errors held and averaged in float64.  A training run allocates its
+buffers once, in one float32 _Workspace; backward writes each layer's delta
+over that layer's activations.  Beyond the corpus, train holds only that
+workspace, the two parameter-sized casts, the Adam moments and scratch and
+one int32 index array (the split, whose training part each epoch shuffles in
+place).  forward, loss and backward without a workspace run in float64, in
+one pass over their rows.
 
 During a simulation the network advances the open probability explicitly,
 
@@ -113,36 +113,32 @@ def _activation_buffers(rows: int, dtype=np.float64) -> list:
     return [np.empty((rows, n), dtype) for n in LAYER_SIZES[1:]]
 
 
-def _float32_over(buffers: list) -> list:
-    """float32 arrays shaped like the given float64 buffers, each over the
-    first half of its buffer's memory."""
-    return [b.reshape(-1).view(np.float32)[: b.size].reshape(b.shape) for b in buffers]
-
-
 class _Workspace:
     """Buffers of one float dtype for forward/backward over up to `rows`
     samples, allocated once.
 
     batch holds the sample rows gathered for a minibatch or a validation
-    block and index their row numbers, inputs layer 0's augmented input
-    [x, 1] (its last column is ones and is never written), acts each layer's
+    block and index their row numbers; in a workspace of another dtype,
+    staging is the float64 block that float64 rows are gathered into before
+    they are cast into batch.  inputs holds layer 0's augmented input [x, 1]
+    (its last column is ones and is never written), acts each layer's
     outputs, ones the vector whose products with the deltas are the bias
     gradients, masks the hidden layers' ReLU masks and grads one flat
     gradient of the given dtype.  A workspace made with gradients=False has
-    no ones, masks or grads and serves loss and the gather only; one given
-    acts uses those buffers instead of allocating its own.  A smaller block
-    uses the first rows of each buffer.  backward leaves each layer's delta
-    in that layer's acts buffer and overwrites the gradients; a loss over a
-    workspace overwrites index, batch, inputs and acts.  Arithmetic through a
-    workspace runs in its dtype when the parameters and the batch share it.
+    no ones, masks or grads and serves loss only.  A smaller block uses the
+    first rows of each buffer.  backward leaves each layer's delta in that
+    layer's acts buffer and overwrites the gradients; a loss over a
+    workspace overwrites index, staging, batch, inputs and acts.  Arithmetic
+    through a workspace runs in its dtype when the parameters and the batch
+    share it.
     """
 
-    def __init__(self, rows: int, dtype=np.float64, gradients: bool = True, acts=None):
+    def __init__(self, rows: int, dtype=np.float64, gradients: bool = True):
         self.index = np.empty(rows, np.intp)
-        # zeros: a take that casts into batch first reads what it holds
-        self.batch = np.zeros((rows, 4), dtype)
+        self.batch = np.empty((rows, 4), dtype)
+        self.staging = None if dtype == np.float64 else np.empty((rows, 4))
         self.inputs = np.ones((rows, LAYER_SIZES[0] + 1), dtype)
-        self.acts = _activation_buffers(rows, dtype) if acts is None else acts
+        self.acts = _activation_buffers(rows, dtype)
         if gradients:
             self.ones = np.ones(rows, dtype)
             self.masks = [np.empty((rows, n), dtype=bool) for n in LAYER_SIZES[1:-1]]
@@ -181,22 +177,20 @@ def _forward_pass(params: NetworkParams, inputs: np.ndarray, acts: list) -> np.n
     return a[:, 0]
 
 
-def _gather(data: np.ndarray, rows: np.ndarray, work: _Workspace, cast=None) -> np.ndarray:
-    """data[rows] in the first rows of work.batch, or of cast.batch when a
-    second workspace is given; returns those rows.
+def _gather(data: np.ndarray, rows: np.ndarray, work: _Workspace) -> np.ndarray:
+    """data[rows] in the first rows of work.batch; returns those rows.
 
     Nothing is allocated: the row numbers are copied into work.index first (a
-    take converts other index types in a temporary), and rows are cast only
-    after the gather (a take that casts as it writes makes a temporary of
-    the block).
+    take converts other index types in a temporary), and rows of another
+    dtype than the batch's are gathered into work.staging and cast after (a
+    take that casts as it writes makes a temporary of the block).
     """
     index = work.index[: rows.size]
     np.copyto(index, rows)
-    block = data.take(index, axis=0, out=work.batch[: rows.size], mode="clip")
-    if cast is None:
-        return block
-    np.copyto(cast.batch[: rows.size], block)
-    return cast.batch[: rows.size]
+    out = work.batch if data.dtype == work.batch.dtype else work.staging
+    block = data.take(index, axis=0, out=out[: rows.size], mode="clip")
+    np.copyto(work.batch[: rows.size], block)  # nothing to do when block is in batch
+    return work.batch[: rows.size]
 
 
 def _forward_blocks(params: NetworkParams, data: np.ndarray, work: _Workspace, rows=None):
@@ -246,8 +240,10 @@ def loss(params: NetworkParams, samples: np.ndarray, rows=None, workspace=None) 
 
     The rows run through the workspace's buffers a block at a time (listed
     rows are gathered into its batch buffer, so none is copied out of
-    samples); without a workspace, one of N rows is made for this call.  The
-    errors fill one vector, squared in place, whose mean is one pairwise sum.
+    samples); without a workspace, a float64 one of N rows is made for this
+    call.  Listed rows run in float32 through float32 params and workspace
+    (train's validation pass), each error a float32 difference.  The errors
+    fill one float64 vector, squared in place, whose mean is one pairwise sum.
     """
     samples = _check_batch(samples)
     n = samples.shape[0] if rows is None else rows.size
@@ -403,13 +399,14 @@ def train(
     cast of the float64 parameters; its float32 gradient, cast to float64,
     drives the float64 Adam step.  The epoch training loss is the
     sample-weighted mean of minibatch losses (each evaluated in float32
-    before its update); the validation loss is a float64 pass at the end of
-    the epoch over the held-out trailing split.  Training starts from
-    init_network(seed) and fresh Adam moments.  Neither split is ever copied
-    out of samples: each minibatch and each validation block is gathered from
-    samples by index into the float64 workspace's batch buffer, and a
-    minibatch is then cast into the float32 one's.  Each epoch shuffles the
-    training split in place, so its order is the previous epoch's, permuted.
+    before its update); the validation loss is loss() over the held-out
+    trailing split at the end of the epoch, on a fresh float32 cast of the
+    parameters, through the same float32 workspace in blocks of the
+    minibatch size.  Training starts from init_network(seed) and fresh Adam
+    moments.  Neither split is ever copied out of samples: each minibatch
+    and validation block is gathered by index into the workspace (see
+    _gather).  Each epoch shuffles the training split in place, so its order
+    is the previous epoch's, permuted.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 4:
@@ -425,11 +422,7 @@ def train(
 
     train_idx, val_idx = validation_split(samples.shape[0], validation_fraction, rng)
     n_train = train_idx.size
-    rows = min(batch_size, n_train)
-    validation = _Workspace(rows, gradients=False)  # float64
-    # a minibatch's activations are dead once its gradient is taken, so the
-    # float32 ones live in the memory of the float64 validation activations
-    work = _Workspace(rows, np.float32, acts=_float32_over(validation.acts))
+    work = _Workspace(min(batch_size, n_train), np.float32)
     params32 = NetworkParams._wrap(np.empty(PARAMETER_COUNT, np.float32))
     grads64 = NetworkParams._wrap(np.empty(PARAMETER_COUNT))
     train_hist = np.empty(epochs)
@@ -438,7 +431,7 @@ def train(
         rng.shuffle(train_idx)  # the previous epoch's order, permuted
         loss_sum = 0.0
         for start in range(0, n_train, batch_size):
-            batch = _gather(samples, train_idx[start : start + batch_size], validation, work)
+            batch = _gather(samples, train_idx[start : start + batch_size], work)
             np.copyto(params32.theta, params.theta)
             batch_loss, grads = backward(params32, batch, work)
             if not np.isfinite(batch_loss):
@@ -447,7 +440,8 @@ def train(
             params, state = adam_step(params, grads64, state)
             loss_sum += batch_loss * batch.shape[0]
         train_hist[epoch] = loss_sum / n_train
-        val_hist[epoch] = loss(params, samples, val_idx, validation) if val_idx.size else np.nan
+        np.copyto(params32.theta, params.theta)  # the epoch's last update
+        val_hist[epoch] = loss(params32, samples, val_idx, work) if val_idx.size else np.nan
     return params, LossHistory(train_hist, val_hist)
 
 

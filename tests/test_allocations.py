@@ -23,7 +23,12 @@ Every corpus byte should be held once from generation to minibatch.  On the
 * adam_step allocates less than 1 KiB: its intermediates live in the
   AdamState;
 * train's minibatch gather and cast allocate less than 1 KiB: the rows are
-  gathered into the float64 batch buffer and cast after.
+  gathered into the float32 workspace's float64 staging block and cast
+  after;
+* train's validation loss over the held-out rows of the corpus allocates
+  its (n_val,) float64 error vector and less than 4 KiB besides, traced at a
+  small numpy buffer size: every block is gathered and cast as a minibatch
+  is, and runs through the same float32 workspace.
 
 tracemalloc counts only what is allocated while it runs, numpy's array data
 included, so each peak excludes the arguments handed in.
@@ -137,11 +142,33 @@ def test_adam_step_allocates_nothing():
 
 def test_minibatch_gather_and_cast_allocate_almost_nothing(corpus):
     # train's gather: int32 rows through the intp index buffer, into the
-    # float64 batch, then cast into the float32 one (320 bytes measured; a
-    # take that casts as it writes would allocate 25.8 KiB)
+    # float32 workspace's float64 staging block, then cast into its batch
+    # (320 bytes measured; a take that casts as it writes would allocate
+    # 25.8 KiB)
     rows = np.random.default_rng(SEED).permutation(corpus.shape[0])[:640].astype(np.int32)
-    staging, work = sn._Workspace(640, gradients=False), sn._Workspace(640, np.float32)
-    batch, peak = traced_peak(sn._gather, corpus, rows, staging, work)
+    work = sn._Workspace(640, np.float32)
+    batch, peak = traced_peak(sn._gather, corpus, rows, work)
     assert batch.dtype == np.float32
     assert np.array_equal(batch, corpus[rows].astype(np.float32))
     assert peak < KIB, peak
+
+
+def test_validation_loss_allocates_only_its_error_vector(corpus):
+    # train's validation pass: the listed rows run through the float32
+    # workspace a block at a time, so what is left is the (n_val,) float64
+    # error vector and a few views and iterators (2.7 KiB measured).  numpy's
+    # buffered ufuncs hold up to getbufsize() elements of scratch for a
+    # broadcast operation (33 KiB for a bias add), which would hide a take
+    # that casts as it writes (19 KiB a block), so the loss is traced at a
+    # 16-element buffer size
+    params32 = sn.NetworkParams._wrap(sn.init_network(seed=SEED).theta.astype(np.float32))
+    _, val_idx = sn.validation_split(corpus.shape[0], 0.1, np.random.default_rng(SEED))
+    work = sn._Workspace(640, np.float32)
+    expected = sn.loss(params32, corpus, val_idx, work)  # first-call caches, untraced
+    default = np.setbufsize(16)
+    try:
+        value, peak = traced_peak(sn.loss, params32, corpus, val_idx, work)
+    finally:
+        np.setbufsize(default)
+    assert value == expected
+    assert peak < 8 * val_idx.size + 4 * KIB, (peak - 8 * val_idx.size) / KIB

@@ -115,7 +115,8 @@ def test_sidecar_contents(workdir):
     assert meta["command"] == "train"
     # the seeds are recorded once, in the effective config
     assert set(meta) == {
-        "file", "command", "config", "config_sha256", "versions", "created", "subset", "data"
+        "file", "command", "config", "config_sha256", "versions", "created", "subset", "data",
+        "validation_loss",
     }
     assert meta["config"]["network"]["seed"] == meta["config"]["dataset"]["seed"] == 4
     assert len(meta["config_sha256"]) == 64
@@ -138,6 +139,11 @@ def test_train_sidecars_record_the_effective_training_run(workdir, tmp_path):
         for meta in (weights_meta, loss_meta):
             del meta["created"], meta["file"]
         assert weights_meta == loss_meta
+        # the lowest validation loss and its epoch, beside the last epoch's
+        val = np.loadtxt(out / "loss_history.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2]
+        assert weights_meta["validation_loss"] == {
+            "last": val[-1], "lowest": val.min(), "lowest_epoch": int(np.argmin(val)) + 1
+        }
         records.append(weights_meta)
     first, second = records
     assert first["config_sha256"] != second["config_sha256"]  # the effective config

@@ -10,9 +10,11 @@ both dtypes, layer 0's one product [x, 1] . [W0^T; b0] must equal the affine
 map, and each bias gradient the row sum of its delta, to a few rounding
 errors, and backward and loss must leave the caller's batch unchanged.  The
 in-place mixed-precision trainer must match a list-based reference trainer
-(allocating float32 forward/backward, per-layer float64 Adam) bit for bit,
-and a single input must match the one-row batch bit for bit.  The CWNN container
-must reject every single-byte flip and every truncation.
+(allocating float32 forward/backward and validation, per-layer float64 Adam)
+bit for bit, its validation loss must be the float32 loss of the epoch's
+parameters and lie within 1e-4 of the float64 one, and a single input must
+match the one-row batch bit for bit.  The CWNN container must reject every
+single-byte flip and every truncation.
 """
 
 import math
@@ -332,7 +334,9 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed):
     applied to the inputs with a column of ones appended, so its gradient is
     one product too; the other layers' bias gradients are ones^T delta.  Each
     batch casts every layer and the batch rows to float32 and the float32
-    gradients to float64; Adam and the one-pass validation loss stay float64.
+    gradients to float64; Adam stays float64.  The validation loss is the
+    float32 forward on the float32 cast of the epoch's layers, in blocks of
+    min(batch_size, n_train) rows, its float32 errors averaged in float64.
     The layers come back as [layer0, W1, W2, W3, b1, b2, b3].
     """
     rng = np.random.default_rng(seed)
@@ -342,7 +346,8 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed):
     moments = [[np.zeros_like(a) for a in layers] for _ in range(2)]
     nl = len(init.weights)
     train_idx, val_idx = sn.validation_split(samples.shape[0], validation_fraction, rng)
-    train_set, val_set = samples[train_idx], samples[val_idx]
+    train_set, val_set = samples[train_idx], samples[val_idx].astype(np.float32)
+    block = min(batch_size, train_set.shape[0])
 
     def forward(layers, x):
         augmented = np.column_stack([x, np.ones(x.shape[0], x.dtype)])
@@ -385,20 +390,26 @@ def reference_train(samples, epochs, batch_size, validation_fraction, seed):
                 layers[i] = layers[i] - alpha * (m / (np.sqrt(v) + eps_hat))
                 moments[0][i], moments[1][i] = m, v
         train_hist.append(loss_sum / train_set.shape[0])
-        err = forward(layers, val_set[:, :3])[0] - val_set[:, 3]
+        layers32 = [a.astype(np.float32) for a in layers]
+        blocks = range(0, val_set.shape[0], block)
+        out = np.concatenate([forward(layers32, val_set[i : i + block, :3])[0] for i in blocks])
+        err = (out - val_set[:, 3]).astype(np.float64)
         val_hist.append(float(np.mean(err * err)))
     return layers, np.array(train_hist), np.array(val_hist)
+
+
+def smooth_samples(seed, n=3000):
+    """(n, 4) samples of a smooth target over the corpus's input ranges."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.uniform(0, 1, n), rng.uniform(0, 10, n), rng.uniform(-40, 40, n)])
+    return np.column_stack([x, 0.05 * x[:, 1] - 0.01 * x[:, 2] + 0.1 * np.sin(6 * x[:, 0])])
 
 
 def test_training_matches_list_based_reference_bit_for_bit():
     # 1800 training rows in batches of 256 leave a partial batch of 8, and
     # the 1200 validation rows run through the 256-row workspace in five
     # blocks, the last one partial
-    rng = np.random.default_rng(14)
-    x = np.column_stack(
-        [rng.uniform(0, 1, 3000), rng.uniform(0, 10, 3000), rng.uniform(-40, 40, 3000)]
-    )
-    samples = np.column_stack([x, 0.05 * x[:, 1] - 0.01 * x[:, 2] + 0.1 * np.sin(6 * x[:, 0])])
+    samples = smooth_samples(14)
     params, hist = sn.train(samples, epochs=3, batch_size=256, validation_fraction=0.4, seed=6)
     assert params.theta.dtype == np.float64
     layers, train_hist, val_hist = reference_train(samples, 3, 256, 0.4, 6)
@@ -406,6 +417,22 @@ def test_training_matches_list_based_reference_bit_for_bit():
         assert np.array_equal(got, want)
     assert np.array_equal(hist.train, train_hist)
     assert np.array_equal(hist.validation, val_hist)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_validation_loss_is_the_float32_loss_of_the_epoch_parameters(epochs):
+    # train validates in the minibatch precision: the last recorded loss is
+    # loss() of the returned parameters' float32 cast through a float32
+    # workspace of the training block size, and within 1e-4 of the float64 loss
+    samples, seed, batch_size, fraction = smooth_samples(15), 7, 256, 0.4
+    params, hist = sn.train(
+        samples, epochs=epochs, batch_size=batch_size, validation_fraction=fraction, seed=seed
+    )
+    _, val_idx = sn.validation_split(samples.shape[0], fraction, np.random.default_rng(seed))
+    float32 = sn.NetworkParams._wrap(params.theta.astype(np.float32))
+    work = sn._Workspace(batch_size, np.float32, gradients=False)
+    assert hist.validation[-1] == sn.loss(float32, samples, val_idx, work)
+    assert_allclose(hist.validation[-1], sn.loss(params, samples, val_idx), rtol=1e-4)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
