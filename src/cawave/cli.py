@@ -19,14 +19,14 @@ numeric failures, 4 for I/O errors.  Each output file gets a sidecar
 <file>.meta.json recording the effective config (seeds included), its
 digest and library versions; train's also record the subset, the input
 dataset's name and CRC32 and the last and lowest validation loss, simulate's
-the channel, the weight file's CRC32 and the run's boundary-pass counts.
-The data files carry no timestamps, so fixed seeds reproduce them bit for bit.
+the channel, the weight file's CRC32 and the run's boundary-pass counts:
+steps, total passes and the most passes in one step, three ints.  The data
+files carry no timestamps, so fixed seeds reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import os
@@ -173,8 +173,8 @@ def cmd_simulate(args) -> int:
         "channel": args.channel,
         "boundary_passes": {
             "steps": output.times.size - 1,
-            "total": dataclasses.asdict(output.passes),
-            "max_per_step": dataclasses.asdict(output.max_passes),
+            "total": output.passes,
+            "max_per_step": output.max_passes,
         },
     }
     if args.weights is not None:

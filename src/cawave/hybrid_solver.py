@@ -22,7 +22,7 @@ Time stepping is a first-order IMEX splitting.  Per step:
         passes linearize them at the current end values;
   (iii) solve for b implicitly against the old u (single linear solve);
   (iv)  solve for u_e implicitly against the old u at L, same fixed-point
-        treatment of the ER flux.
+        treatment of the ER flux; its passes are made in (ii)'s loop.
 
 With b, u_e and P lagged the three implicit systems are independent, so one
 step makes one tridiagonal solve: the matrices (M/dt + D K - D A) plus the
@@ -36,17 +36,19 @@ u_e systems, so by the Sherman-Morrison-Woodbury identity
     u   = y_u + alpha g_L + beta g_R      (2x2 system in alpha, beta)
     u_e = y_e + beta_e g_e                (scalar Sherman-Morrison update)
 
-and a pass is plain float arithmetic on the end values.  A loop exits at
-the first pass where change_within_tol accepts the scalar
-|d alpha| max|g_L| + |d beta| max|g_R| (|d beta_e| max|g_e| for u_e), the
-d's taken from the pass before and the maxima once per step.  The scalar
-bounds the change d alpha g_L + d beta g_R (d beta_e g_e) at every node from
-above, so at an exit no node moved by more than BOUNDARY_ITER_TOL = 1e-10.
-A first pass has nothing to compare with, so every loop makes at least two
-passes; a loop with no exit after BOUNDARY_ITER_MAX + 1 passes raises
-SolverDivergenceError.  u and u_e are formed once, after both loops.  A
-zero 2x2 determinant or Sherman-Morrison denominator, which is where the
-full matrix would be singular, raises SingularMatrixError.
+and a pass is plain float arithmetic on the end values.  One boundary loop
+makes both updates in each pass, and exits at the first pass where
+change_within_tol accepts both the scalar |d alpha| max|g_L| + |d beta|
+max|g_R| of u and |d beta_e| max|g_e| of u_e, the d's taken from the pass
+before and the maxima once per step.  Each scalar bounds its part's change,
+d alpha g_L + d beta g_R or d beta_e g_e, at every node from above, so at
+an exit no node of u or u_e moved by more than BOUNDARY_ITER_TOL = 1e-10.
+A first pass has nothing to compare with, so the loop makes at least two
+passes; with no exit after BOUNDARY_ITER_MAX + 1 passes it raises
+SolverDivergenceError naming the part or parts still moving.  u and u_e are
+formed once, after the loop.  A zero 2x2 determinant or Sherman-Morrison
+denominator, which is where the full matrix would be singular, raises
+SingularMatrixError.
 
 The membranes enter only through channel_flux's two laws, plasma_exchange
 and er_exchange, which give each flux with its slopes: the block matrix holds
@@ -58,21 +60,21 @@ fields w = (u, b, u_e), of which u, b and u_e are read-only views, the step's
 BandedMatrix (the u_e block never changes), the Fortran (N, 3) right-hand
 side, and the scale, source, data, clamp and |g| buffers with views of their
 u and b blocks fixed at construction, so the reaction's scaling and data
-take a few whole-block calls.  It also counts the boundary passes of each
-loop (PassCounts), in total and as the most in one step; SimOutput and the
-simulate sidecar carry both.  Two reduceat calls bound all three new fields
-at once, before they are copied into w: they are the range check (NaN fails
-it; a step that raises leaves the state as it was, counts included) and the
-observer's u maximum.  Every step clamps the fields at zero for the reaction
-and flux terms while the data keep the raw fields; SimState and the range
-check, check_field_ranges, admit nothing below -1e-8, so the clamp only
-removes roundoff.
+take a few whole-block calls.  It also counts the boundary passes, in total
+and as the most in one step; SimOutput and the simulate sidecar carry both.
+Two reduceat calls bound all three new fields at once, before they are
+copied into w: they are the range check (NaN fails it; a step that raises
+leaves the state as it was, counts included) and the observer's u maximum.
+Every step clamps the fields at zero for the reaction and flux terms while
+the data keep the raw fields; SimState and the range check,
+check_field_ranges, admit nothing below -1e-8, so the clamp only removes
+roundoff.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,22 +221,14 @@ def build_system(cfg: SimConfig) -> _System:
     return _System(cyto, er, static, BandedMatrix(np.hstack((mass_c, mass_c, mass_e))))
 
 
-@dataclass(slots=True)
-class PassCounts:
-    """Boundary-iteration counts: passes of the outer (u) and ER (u_e) loops."""
-
-    outer: int = 0
-    er: int = 0
-
-
 class SimState:
     """The state of one run: fields, time, gating handle and its P, with the
     work buffers that step_imex advances them in (see the module docstring).
 
     u, b and ue are read-only views of w; the state shares no memory with its
     inputs, which must match their meshes and pass check_field_ranges.
-    passes holds the boundary-pass counts summed over the steps taken and
-    max_passes the largest of each in one step.
+    passes is the number of boundary passes summed over the steps taken and
+    max_passes the most in one step.
     """
 
     def __init__(self, cfg: SimConfig, system: _System, u, b, ue, channel, t: float = 0.0):
@@ -271,7 +265,7 @@ class SimState:
         self.source_u, self.data_ub = self.source[:n_c], self.data[ub]
         self.bands_ub = self.matrix.bands[:, ub]
         self.mass_ub, self.static_ub = system.mass.bands[:, ub], system.static[:, ub]
-        self.passes, self.max_passes = PassCounts(), PassCounts()
+        self.passes = self.max_passes = 0
         self.u, self.b, self.ue = np.split(self.w, self.starts[1:])
         for view in (self.u, self.b, self.ue):
             view.flags.writeable = False
@@ -304,13 +298,13 @@ def make_initial_state(cfg: SimConfig, system: _System | None = None) -> SimStat
 
 def change_within_tol(d_alpha: float, g_l: float, d_beta: float = 0.0, g_r: float = 0.0) -> bool:
     """Whether |d_alpha| g_l + |d_beta| g_r is within BOUNDARY_ITER_TOL: the
-    one exit test of step_imex's boundary loops.
+    exit test of each part of step_imex's boundary loop.
 
     g_l and g_r are the largest magnitudes of the unit responses g_L and
     g_R.  Float rounding is monotone and symmetric, so this float sum is at
     least every entry of the change d_alpha g_L + d_beta g_R formed in
     floats: when it accepts, no node moved by more than the tolerance.  A NaN
-    or an overflow anywhere makes it reject.  The u_e loop passes d_beta_e
+    or an overflow anywhere makes it reject.  The u_e part passes d_beta_e
     and max |g_e| alone.
     """
     return abs(d_alpha) * g_l + abs(d_beta) * g_r <= BOUNDARY_ITER_TOL
@@ -347,20 +341,27 @@ def step_imex(state: SimState) -> None:
     y = sys_.mass.matvec(data, out=state.rhs[:, 0])
     y[n_c - 1] += cfg.stimulus.value(t_next)
     x = solve_tridiagonal(mat.lower, mat.diag, mat.upper, state.rhs)
-    # the largest |g_L|, |g_e| and |g_R| for the loops' exit bound (g_L and
+    # the largest |g_L|, |g_e| and |g_R| for the loop's exit bounds (g_L and
     # g_R over the u and b rows, whose b entries are zero)
     np.abs(x[:, 1:], out=state.g_abs_columns)
     g_l_max, g_e_max, g_r_max = np.maximum.reduceat(state.g_abs, state.g_starts).tolist()
 
-    # (ii) u = y_u + alpha g_L + beta g_R: each pass linearizes the ER flux J
-    # at (u_L, old u_e(L)) and the plasma flux F at u_R, and solves the 2x2
-    # system alpha = -J, beta = F at the new end values
+    # (ii) and (iv) in one loop whose passes make both updates, and which
+    # exits once both parts' bounds accept.  u = y_u + alpha g_L + beta g_R:
+    # J is linearized at (u_L, old u_e(L)) and F at u_R, and the 2x2 system
+    # alpha = -J, beta = F is solved at the new end values.  u_e = y_e +
+    # beta_e g_e against the old interface u: J is linearized at (old u_L,
+    # u_e(L)) and beta_e = J solved at the new end value (Sherman-Morrison);
+    # u_e(L) starts from w[-1], above the floor as ue_l is, and each iterate
+    # is checked.
     y_u, g_l, g_r = x[:n_c, 0], x[:n_c, 1], x[:n_c, 2]
+    y_e, g_e = x[2 * n_c :, 0], x[2 * n_c :, 1]
     y_ll, g_ll, g_rl = x[0].tolist()
     y_rr, g_lr, g_rr = x[n_c - 1].tolist()
-    ul, ur = float(w[0]), float(w[n_c - 1])
-    alpha = beta = None
-    for outer_passes in range(1, BOUNDARY_ITER_MAX + 2):
+    y_el, g_el = x[-1, :2].tolist()
+    ul, ur, uel = float(w[0]), float(w[n_c - 1]), float(w[-1])
+    alpha = beta = beta_e = None
+    for passes in range(1, BOUNDARY_ITER_MAX + 2):
         f, f_u = plasma_exchange(ur, pl)
         j, j_u, _ = er_exchange(ul, ue_l, p_open, er_p)
         r_l = j_u * (ul - y_ll) - j
@@ -372,24 +373,6 @@ def step_imex(state: SimState) -> None:
             raise SingularMatrixError(f"singular cytosolic boundary system at t = {t_next}")
         new_alpha = (r_l * a22 - a12 * r_r) / det
         new_beta = (a11 * r_r - a21 * r_l) / det
-        if alpha is not None and change_within_tol(
-                new_alpha - alpha, g_l_max, new_beta - beta, g_r_max):
-            break
-        alpha, beta = new_alpha, new_beta
-        ul, ur = y_ll + alpha * g_ll + beta * g_rl, y_rr + alpha * g_lr + beta * g_rr
-    else:
-        raise SolverDivergenceError(
-            f"outer-boundary iteration did not converge at t = {t_next}")
-
-    # (iv) u_e = y_e + beta_e g_e against the old interface u; each pass
-    # linearizes J at (old u_L, u_e(L)) and solves beta_e = J at the new end
-    # value (Sherman-Morrison); it starts from w[-1], above the floor as ue_l
-    # is, and checks each iterate it makes
-    y_e, g_e = x[2 * n_c :, 0], x[2 * n_c :, 1]
-    y_el, g_el = x[-1, :2].tolist()
-    uel = float(w[-1])
-    beta_e = None
-    for er_passes in range(1, BOUNDARY_ITER_MAX + 2):
         j, _, j_e = er_exchange(u_l, uel, p_open, er_p)
         denom = 1.0 - j_e * g_el
         if denom == 0.0:
@@ -398,11 +381,18 @@ def step_imex(state: SimState) -> None:
         new_l = y_el + new_beta_e * g_el
         if new_l <= channel_flux.ER_CONCENTRATION_FLOOR:
             raise StateInvariantError(f"ER interface concentration collapsed: {new_l}")
-        if beta_e is not None and change_within_tol(new_beta_e - beta_e, g_e_max):
+        u_done = passes > 1 and change_within_tol(
+            new_alpha - alpha, g_l_max, new_beta - beta, g_r_max)
+        ue_done = passes > 1 and change_within_tol(new_beta_e - beta_e, g_e_max)
+        if u_done and ue_done:
             break
-        beta_e, uel = new_beta_e, new_l
+        alpha, beta, beta_e = new_alpha, new_beta, new_beta_e
+        ul, ur = y_ll + alpha * g_ll + beta * g_rl, y_rr + alpha * g_lr + beta * g_rr
+        uel = new_l
     else:
-        raise SolverDivergenceError(f"ER-boundary iteration did not converge at t = {t_next}")
+        parts = " and ".join(name for name, done in (("u", u_done), ("u_e", ue_done)) if not done)
+        raise SolverDivergenceError(
+            f"boundary iteration for {parts} did not converge at t = {t_next}")
 
     # (iii) free buffer: fully linear in the new b, so y_b is the answer.  u
     # and u_e are formed in x's column 0, ((y + alpha g_L) + beta g_R) and
@@ -417,13 +407,8 @@ def step_imex(state: SimState) -> None:
     w[:] = new
     state.u_max = highs[0]
     state.t, state.channel, state.p_open = t_next, channel, p_open
-    total, top = state.passes, state.max_passes
-    total.outer += outer_passes
-    total.er += er_passes
-    if outer_passes > top.outer:
-        top.outer = outer_passes
-    if er_passes > top.er:
-        top.er = er_passes
+    state.passes += passes
+    state.max_passes = max(state.max_passes, passes)
 
 
 def conserved_quantity(state: SimState) -> float:
@@ -457,8 +442,8 @@ class SimOutput:
     peak_u_anywhere: float
     wave_duration: float
     final_state: SimState
-    passes: PassCounts
-    max_passes: PassCounts
+    passes: int
+    max_passes: int
 
 
 def _longest_run(mask: np.ndarray, dt: float) -> float:
@@ -494,7 +479,7 @@ def run_simulation(cfg: SimConfig) -> SimOutput:
     duration = _longest_run(u_l > 2.0 * cfg.u_init, cfg.dt)
     return SimOutput(
         times, u_r, u_l, ue_l, p_series, float(u_l[peak]), float(times[peak]),
-        float(u_max.max()), duration, state, replace(state.passes), replace(state.max_passes),
+        float(u_max.max()), duration, state, state.passes, state.max_passes,
     )
 
 

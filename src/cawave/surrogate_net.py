@@ -240,12 +240,16 @@ def loss(params: NetworkParams, samples: np.ndarray, rows=None, workspace=None) 
 
     The rows run through the workspace's buffers a block at a time (listed
     rows are gathered into its batch buffer, so none is copied out of
-    samples); without a workspace, a float64 one of N rows is made for this
-    call.  Listed rows run in float32 through float32 params and workspace
-    (train's validation pass), each error a float32 difference.  The errors
-    fill one float64 vector, squared in place, whose mean is one pairwise sum.
+    samples); without a workspace, listed rows are copied out, and a float64
+    workspace of N rows is made for this call, so the arithmetic is float64
+    as for samples[rows].  Listed rows run in float32 through float32 params
+    and workspace (train's validation pass), each error a float32 difference.
+    The errors fill one float64 vector, squared in place, whose mean is one
+    pairwise sum.
     """
     samples = _check_batch(samples)
+    if workspace is None and rows is not None:
+        samples, rows = samples[rows], None
     n = samples.shape[0] if rows is None else rows.size
     work = workspace if workspace is not None else _Workspace(n, gradients=False)
     err = np.empty(n)

@@ -237,9 +237,8 @@ def test_simulate_sidecar_identifies_the_effective_run(tmp_path):
     assert [passes[sub]["steps"] for sub in "abc"] == [4, 4, 2]
     for record in passes.values():
         assert set(record) == {"steps", "total", "max_per_step"}
-        for counts in (record["total"], record["max_per_step"]):
-            assert set(counts) == {"outer", "er"}
-        assert min(record["total"]["outer"], record["total"]["er"]) >= 2 * record["steps"]
+        assert all(type(count) is int for count in record.values())
+        assert record["total"] >= 2 * record["steps"] and record["max_per_step"] >= 2
 
 
 def test_er_block_breakdown_at_small_dt_exits_3(tmp_path):

@@ -20,10 +20,12 @@ that makes it.  A state must refuse at construction, naming the field, what
 the step's range check refuses: NaN, a value below the floor or above a
 ceiling.  The step's one solve must give g_e, the u_e block's
 response to unit data at r = L, bit for bit as the block alone would.  The
-scalar bound, each boundary loop's one exit test, must never accept a
-change that exceeds the tolerance at some node.  Each loop makes at least
-two passes, exactly two from rest, and a loop whose bound never accepts
-must raise SolverDivergenceError, which the CLI reports with exit code 3.
+scalar bound, the exit test of each part of the one boundary loop, must
+never accept a change that exceeds the tolerance at some node.  The loop
+makes at least two passes, exactly two from rest, and runs until both the u
+and the u_e part accept; a loop where a part's bound never accepts must
+raise SolverDivergenceError naming that part, which the CLI reports with
+exit code 3.
 """
 
 from dataclasses import replace
@@ -556,7 +558,7 @@ def test_run_is_a_chain_of_steps(
     surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt
 ):
     # the run and a chain of step_imex calls on a state of our own must agree
-    # bit for bit and count the same boundary passes, each loop making 2 to
+    # bit for bit and count the same boundary passes, the loop making 2 to
     # BOUNDARY_ITER_MAX + 1 a step; two runs must not share a field buffer
     cfg = _run_config(surrogate_weights, channel, plasma, cyto_elements, er_elements, steps, dt)
     out, again = hs.run_simulation(cfg), hs.run_simulation(cfg)
@@ -566,10 +568,10 @@ def test_run_is_a_chain_of_steps(
     assert out.peak_u_anywhere == u_max
     counts = (out.passes, out.max_passes)
     assert counts == (again.passes, again.max_passes) == (final.passes, final.max_passes)
-    for loop in ("outer", "er"):
-        total, top = getattr(out.passes, loop), getattr(out.max_passes, loop)
-        assert 2 * steps <= total <= (hs.BOUNDARY_ITER_MAX + 1) * steps
-        assert 2 <= top <= min(total, hs.BOUNDARY_ITER_MAX + 1)
+    total, top = counts
+    assert type(total) is type(top) is int
+    assert 2 * steps <= total <= (hs.BOUNDARY_ITER_MAX + 1) * steps
+    assert 2 <= top <= min(total, hs.BOUNDARY_ITER_MAX + 1)
     runs = (out.final_state, again.final_state)
     for name in ("u", "b", "ue"):
         assert np.array_equal(getattr(out.final_state, name), getattr(final, name))
@@ -603,7 +605,7 @@ def test_a_certified_exit_passes_the_exact_test(d_alpha, d_beta, g):
         if hs.change_within_tol(d_alpha, g_l_max, d_beta, g_r_max):
             change = d_alpha * g_l + d_beta * g_r
             assert np.maximum.reduce(np.abs(change)) <= hs.BOUNDARY_ITER_TOL
-        # the single-column form of the u_e loop
+        # the single-column form of the u_e part
         if hs.change_within_tol(d_alpha, g_l_max):
             assert np.maximum.reduce(np.abs(d_alpha * g_l)) <= hs.BOUNDARY_ITER_TOL
             assert finite[[0, 2]].all()
@@ -611,20 +613,23 @@ def test_a_certified_exit_passes_the_exact_test(d_alpha, d_beta, g):
         assert not hs.change_within_tol(d_alpha, g_l_max, d_beta, g_r_max)
 
 
-# exit bounds that reject every call, or only the u_e loop's two-argument
-# calls, keyed by the loop that then diverges
+# exit bounds under which a part's bound never accepts: the u part's
+# four-argument calls, the u_e part's two-argument calls, or every call; keyed
+# by the part or parts the divergence error names
 CHANGE_WITHIN_TOL = hs.change_within_tol
 REJECTIONS = {
-    "outer-boundary": lambda *args: False,
-    "ER-boundary": lambda *args: len(args) == 4 and CHANGE_WITHIN_TOL(*args),
+    "u": lambda *args: len(args) == 2 and CHANGE_WITHIN_TOL(*args),
+    "u_e": lambda *args: len(args) == 4 and CHANGE_WITHIN_TOL(*args),
+    "u and u_e": lambda *args: False,
 }
 DIVERGENCE_CONFIG = dict(channel="zero", cyto_elements=8, er_elements=8)
 
 
-def test_an_outer_loop_that_never_exits_diverges(monkeypatch):
-    # with the bound rejecting every pass, the outer loop makes
+@pytest.mark.parametrize("parts", sorted(REJECTIONS))
+def test_a_boundary_loop_that_never_exits_diverges(monkeypatch, parts):
+    # with a part's bound rejecting every pass, the loop makes
     # BOUNDARY_ITER_MAX + 1 passes, one plasma_exchange call each, and raises
-    # with the state untouched
+    # naming that part, with the state untouched
     cfg = hs.SimConfig(**DIVERGENCE_CONFIG)
     state = hs.make_initial_state(cfg)
     w = state.w.copy()
@@ -635,48 +640,63 @@ def test_an_outer_loop_that_never_exits_diverges(monkeypatch):
         return plasma_exchange(u, params)
 
     monkeypatch.setattr(hs, "plasma_exchange", counted)
-    monkeypatch.setattr(hs, "change_within_tol", REJECTIONS["outer-boundary"])
-    with pytest.raises(SolverDivergenceError, match="outer-boundary iteration did not converge"):
+    monkeypatch.setattr(hs, "change_within_tol", REJECTIONS[parts])
+    with pytest.raises(SolverDivergenceError) as raised:
         hs.step_imex(state)
+    assert str(raised.value) == f"boundary iteration for {parts} did not converge at t = 0.01"
     assert len(calls) == hs.BOUNDARY_ITER_MAX + 1
     assert np.array_equal(state.w, w) and state.t == 0.0
-    assert state.passes == state.max_passes == hs.PassCounts()
+    assert state.passes == state.max_passes == 0
 
 
-def test_an_er_loop_that_never_exits_diverges(monkeypatch):
-    # the outer loop exits; the u_e loop's bound never accepts
-    cfg = hs.SimConfig(**DIVERGENCE_CONFIG)
-    state = hs.make_initial_state(cfg)
-    w = state.w.copy()
-    monkeypatch.setattr(hs, "change_within_tol", REJECTIONS["ER-boundary"])
-    with pytest.raises(SolverDivergenceError, match="ER-boundary iteration did not converge"):
-        hs.step_imex(state)
-    assert np.array_equal(state.w, w) and state.t == 0.0
-    assert state.passes == state.max_passes == hs.PassCounts()
-
-
-@pytest.mark.parametrize("loop", sorted(REJECTIONS))
-def test_boundary_divergence_exits_3(monkeypatch, tmp_path, capsys, loop):
-    monkeypatch.setattr(hs, "change_within_tol", REJECTIONS[loop])
+@pytest.mark.parametrize("parts", sorted(REJECTIONS))
+def test_boundary_divergence_exits_3(monkeypatch, tmp_path, capsys, parts):
+    monkeypatch.setattr(hs, "change_within_tol", REJECTIONS[parts])
     argv = ["simulate", "--channel", "zero", "--dt", "0.01", "--t-end", "0.01",
             "--elements", "8", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
-    assert f"{loop} iteration did not converge" in capsys.readouterr().err
+    assert f"boundary iteration for {parts} did not converge" in capsys.readouterr().err
     assert not (tmp_path / "simulation.csv").exists()
+
+
+@pytest.mark.parametrize("u_passes, ue_passes", [(2, 5), (5, 2)])
+def test_the_loop_runs_until_both_parts_accept(monkeypatch, u_passes, ue_passes):
+    # each part's bound may accept only from its part's p-th pass on (the
+    # u part's four-argument calls, the u_e part's two-argument ones): the
+    # step makes max(p_u, p_e) passes, more than it makes unpatched, and the
+    # part that could have stopped earlier moves on by no more than the
+    # tolerance at any node
+    cfg = hs.SimConfig(channel="markov", cyto_elements=8, er_elements=8, dt=0.05)
+    want = hs.make_initial_state(cfg)
+    hs.step_imex(want)
+    assert want.passes < max(u_passes, ue_passes)
+    calls = {2: 0, 4: 0}
+
+    def held_back(*args):
+        calls[len(args)] += 1  # the k-th call of a part is made in pass k + 1
+        needed = u_passes if len(args) == 4 else ue_passes
+        return calls[len(args)] + 1 >= needed and CHANGE_WITHIN_TOL(*args)
+
+    monkeypatch.setattr(hs, "change_within_tol", held_back)
+    state = hs.make_initial_state(cfg)
+    hs.step_imex(state)
+    assert state.passes == state.max_passes == max(u_passes, ue_passes)
+    for name in ("u", "ue"):
+        change = np.abs(getattr(state, name) - getattr(want, name))
+        assert np.max(change) <= hs.BOUNDARY_ITER_TOL
 
 
 def test_a_run_from_rest_makes_two_passes_per_loop_per_step():
     # nothing moves at rest (a sealed cell, buffer at equilibrium, an inert ER
-    # membrane): each loop exits on its second pass, the first that has a
-    # pass to compare with
+    # membrane): the one boundary loop exits on its second pass, the first
+    # that has a pass to compare with
     steps = 20
     cfg = sealed_config(
         channel="zero", cyto_elements=6, er_elements=6, dt=1e-2, t_end=steps * 1e-2,
         er=ErParams(serca_scale=0.0, leak=0.0),
     )
     out = hs.run_simulation(cfg)
-    assert out.passes == hs.PassCounts(outer=2 * steps, er=2 * steps)
-    assert out.max_passes == hs.PassCounts(2, 2)
+    assert (out.passes, out.max_passes) == (2 * steps, 2)
 
 
 def _static_er_response(cfg):

@@ -128,6 +128,15 @@ def test_backward_loss_is_the_loss():
     assert batch_loss == sn.loss(params, batch)
 
 
+def test_listed_float32_rows_without_a_workspace_run_in_float64():
+    # without a workspace, listed rows of a float32 block are the float64
+    # loss of those rows taken out first, bit for bit
+    params = sn.init_network(seed=5)
+    block = _sample_batch(5, 10).astype(np.float32)
+    rows = np.array([7, 2, 2, 9, 0])
+    assert sn.loss(params, block, rows) == sn.loss(params, block[rows])
+
+
 def _float32(params):
     """A float32 cast of params' vector, laid out like it."""
     return sn.NetworkParams._wrap(params.theta.astype(np.float32))
